@@ -1,17 +1,13 @@
 #include "flowdiff/monitor_manager.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <utility>
 
 namespace flowdiff::core {
 
 namespace {
-
-/// Batch size one shard task feeds per queue grab. Bounding it keeps a
-/// chatty tenant from starving quieter ones on a small pool: the task
-/// requeues itself after each batch instead of monopolizing a worker.
-constexpr std::size_t kFeedBatch = 4096;
 
 MonitorOptions shard_options(const ManagerConfig& config) {
   MonitorOptions options = config.options;
@@ -49,8 +45,9 @@ std::shared_ptr<MonitorManager::Shard> MonitorManager::find(
 }
 
 std::shared_ptr<MonitorManager::Shard> MonitorManager::find_or_create(
-    const std::string& tenant, bool* created) {
+    const std::string& tenant, bool* created, std::uint64_t* now) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (now) *now = tick_;
   auto it = shards_.find(tenant);
   if (it != shards_.end()) {
     if (created) *created = false;
@@ -69,6 +66,21 @@ bool MonitorManager::register_tenant(const std::string& tenant) {
   bool created = false;
   find_or_create(tenant, &created);
   return created;
+}
+
+bool MonitorManager::claim_task_locked(Shard& shard) {
+  if (shard.task_scheduled || shard.pending.empty() ||
+      shard.state != ShardState::kRunning) {
+    return false;
+  }
+  shard.task_scheduled = true;
+  return true;
+}
+
+void MonitorManager::submit(const std::shared_ptr<Shard>& shard) {
+  // Inline in serial mode (workers == 0): the events are fully fed by
+  // the time submit() returns, which is what the demux goldens pin.
+  executor_.submit([this, shard] { run_shard(shard); });
 }
 
 void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
@@ -117,45 +129,53 @@ void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
 
 bool MonitorManager::feed(const std::string& tenant,
                           const of::ControlEvent& event) {
-  return feed(tenant, std::vector<of::ControlEvent>{event});
+  return feed_range(tenant, &event, 1);
 }
 
 bool MonitorManager::feed(const std::string& tenant,
                           const std::vector<of::ControlEvent>& events) {
-  if (events.empty()) return true;
-  auto shard = find_or_create(tenant, nullptr);
+  return feed_range(tenant, events.data(), events.size());
+}
+
+bool MonitorManager::feed_range(const std::string& tenant,
+                                const of::ControlEvent* events,
+                                std::size_t count) {
+  if (count == 0) return true;
+  // Lock order is always manager then shard (evict_idle nests that way),
+  // so the tick is read with the lookup, before the shard lock.
   std::uint64_t now = 0;
-  {
-    // Lock order is always manager then shard (evict_idle nests that way),
-    // so read the tick before taking the shard lock.
-    std::lock_guard<std::mutex> mgr(mu_);
-    now = tick_;
-  }
-  bool schedule = false;
+  auto shard = find_or_create(tenant, nullptr, &now);
+  bool dispatch = false;
   {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->last_fed_tick = now;
     if (shard->state != ShardState::kRunning) {
-      shard->dropped += events.size();
+      shard->dropped += count;
       return false;
     }
-    shard->pending.insert(shard->pending.end(), events.begin(), events.end());
-    shard->events += events.size();
-    if (!shard->task_scheduled) {
-      shard->task_scheduled = true;
-      schedule = true;
+    shard->pending.insert(shard->pending.end(), events, events + count);
+    shard->events += count;
+    if (executor_.serial() || shard->pending.size() >= kFeedBatch) {
+      dispatch = claim_task_locked(*shard);
+    } else if (!shard->task_scheduled && !shard->listed) {
+      // An in-flight task drains the queue by itself; otherwise the shard
+      // waits for the round boundary.
+      shard->listed = true;
+      std::lock_guard<std::mutex> ready(ready_mu_);
+      ready_.push_back(shard);
     }
   }
-  if (schedule) {
-    // Inline in serial mode (workers == 0): the events are fully fed by
-    // the time feed() returns, which is what the demux goldens pin.
-    executor_.submit([this, shard] { run_shard(shard); });
-  }
+  if (dispatch) submit(shard);
   return true;
 }
 
 void MonitorManager::wait_idle(const std::shared_ptr<Shard>& shard) {
   std::unique_lock<std::mutex> lock(shard->mu);
+  if (claim_task_locked(*shard)) {
+    lock.unlock();
+    submit(shard);
+    lock.lock();
+  }
   shard->idle_cv.wait(lock, [&shard] {
     return !shard->task_scheduled &&
            (shard->pending.empty() || shard->state != ShardState::kRunning);
@@ -191,6 +211,40 @@ void MonitorManager::stop_all() {
 }
 
 std::uint64_t MonitorManager::tick() {
+  std::vector<std::shared_ptr<Shard>> ready;
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    ready.swap(ready_);
+  }
+  std::vector<std::shared_ptr<Shard>> claimed;
+  for (auto& shard : ready) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->listed = false;
+    if (claim_task_locked(*shard)) claimed.push_back(std::move(shard));
+  }
+  if (!claimed.empty()) {
+    // At most one task per worker, not one per shard: each executor task
+    // costs a packaged task, a future and a wake. Each task pulls the
+    // round's next unserved shard until none is left, so the shards spread
+    // over the workers as they free up.
+    struct Round {
+      std::vector<std::shared_ptr<Shard>> shards;
+      std::atomic<std::size_t> next{0};
+    };
+    auto round = std::make_shared<Round>();
+    round->shards = std::move(claimed);
+    const auto tasks = std::min<std::size_t>(
+        round->shards.size(),
+        static_cast<std::size_t>(std::max(executor_.workers(), 1)));
+    for (std::size_t t = 0; t < tasks; ++t) {
+      executor_.submit([this, round] {
+        for (std::size_t i = round->next++; i < round->shards.size();
+             i = round->next++) {
+          run_shard(round->shards[i]);
+        }
+      });
+    }
+  }
   std::lock_guard<std::mutex> lock(mu_);
   return ++tick_;
 }

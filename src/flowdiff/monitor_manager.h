@@ -11,6 +11,17 @@
 //     at a time, so per-tenant order (the thing windowing depends on) is
 //     preserved at any worker count while distinct tenants proceed in
 //     parallel on the manager's util::Executor pool.
+//   * With workers > 0, tick() is the round boundary that hands queued
+//     work to the pool: feed() only queues the event and lists the shard
+//     as ready, and tick() hands the round's ready shards to at most
+//     `workers` tasks, each feeding the next unserved shard until none is
+//     left. A shard whose queue reaches kFeedBatch events dispatches at
+//     once without waiting for the tick, and drain()/stop()/stop_all()/
+//     eviction dispatch whatever is still queued before waiting. So a
+//     caller that never ticks still sees every event through drain() or
+//     stop_all(); one that ticks once per poll round (the serve loop)
+//     pays a few executor tasks per round instead of one per queue
+//     transition.
 //   * Shard faults are isolated: an exception escaping one shard's feed
 //     marks that shard kFaulted (with the message retained) and drops its
 //     backlog; every other tenant keeps running, and the aggregate health
@@ -24,11 +35,11 @@
 //     shard's final partial window, and leave the results readable.
 //
 // With ManagerConfig::workers == 0 the executor runs tasks inline on the
-// feeding thread — fully deterministic, and the mode the demux golden
-// tests pin. Shard-internal model building inherits the shard options'
-// own workers knob; a parallel_for issued from inside a manager worker
-// task degrades to serial inline (see util/executor.h), so nesting cannot
-// deadlock.
+// feeding thread — every feed() is processed before it returns, fully
+// deterministic, and the mode the demux golden tests pin. Shard-internal
+// model building inherits the shard options' own workers knob; a
+// parallel_for issued from inside a manager worker task degrades to serial
+// inline (see util/executor.h), so nesting cannot deadlock.
 #pragma once
 
 #include <condition_variable>
@@ -86,6 +97,10 @@ struct ManagerConfig {
 
 class MonitorManager {
  public:
+  /// Queue depth at which a shard dispatches without waiting for tick(),
+  /// and the most events one shard task feeds per queue grab.
+  static constexpr std::size_t kFeedBatch = 4096;
+
   explicit MonitorManager(ManagerConfig config);
   ~MonitorManager();
 
@@ -100,6 +115,8 @@ class MonitorManager {
   /// Routes one event (or a batch, preserving order) to the tenant's
   /// shard. Returns false if the shard exists but no longer accepts
   /// (stopped / faulted / evicted) — the event is counted as dropped.
+  /// With workers > 0 the events are processed after the next tick() (or
+  /// at once if the shard's queue reached kFeedBatch); see the header.
   bool feed(const std::string& tenant, const of::ControlEvent& event);
   bool feed(const std::string& tenant,
             const std::vector<of::ControlEvent>& events);
@@ -115,8 +132,9 @@ class MonitorManager {
   /// SIGTERM path: stop every running shard (deterministic tenant order).
   void stop_all();
 
-  /// Advances the idle clock; the serve loop calls this once per poll
-  /// round. Returns the new tick.
+  /// Ends a round: hands every shard that queued events since the last
+  /// round to the pool (workers > 0), then advances the idle clock. The
+  /// serve loop calls this once per poll round. Returns the new tick.
   std::uint64_t tick();
 
   /// Evicts running shards not fed for >= idle_ticks ticks: drains,
@@ -154,7 +172,8 @@ class MonitorManager {
     std::unique_ptr<SlidingMonitor> monitor;
     ShardState state = ShardState::kRunning;
     std::deque<of::ControlEvent> pending;
-    bool task_scheduled = false;
+    bool task_scheduled = false;  ///< A task is submitted or running.
+    bool listed = false;          ///< In ready_, awaiting the next tick().
     std::uint64_t events = 0;
     std::uint64_t dropped = 0;
     std::uint64_t last_fed_tick = 0;
@@ -165,13 +184,23 @@ class MonitorManager {
   };
 
   std::shared_ptr<Shard> find(const std::string& tenant) const;
+  /// Also reports the current tick through `now` (when non-null), so
+  /// feed() takes the manager lock once.
   std::shared_ptr<Shard> find_or_create(const std::string& tenant,
-                                        bool* created);
+                                        bool* created,
+                                        std::uint64_t* now = nullptr);
+  bool feed_range(const std::string& tenant, const of::ControlEvent* events,
+                  std::size_t count);
+  /// Claims the shard for a new task if it has queued events, is running
+  /// and has none in flight. Caller holds shard.mu and submits on true.
+  static bool claim_task_locked(Shard& shard);
+  void submit(const std::shared_ptr<Shard>& shard);
   /// The per-shard executor task: feeds queued batches until the queue is
   /// empty, faulting the shard on any exception.
   void run_shard(const std::shared_ptr<Shard>& shard);
-  /// Waits until the shard's queue is empty and no task is in flight.
-  static void wait_idle(const std::shared_ptr<Shard>& shard);
+  /// Dispatches whatever the shard still has queued, then waits until the
+  /// queue is empty and no task is in flight.
+  void wait_idle(const std::shared_ptr<Shard>& shard);
   /// drain + flush + state transition, shared by stop() and eviction.
   void retire(const std::shared_ptr<Shard>& shard, ShardState final_state);
   static ShardStatus status_locked(const Shard& shard);
@@ -181,6 +210,10 @@ class MonitorManager {
   mutable std::mutex mu_;  ///< Guards shards_ and tick_.
   std::map<std::string, std::shared_ptr<Shard>> shards_;
   std::uint64_t tick_ = 0;
+  /// Lock order: mu_, then a shard's mu, then ready_mu_ (a leaf).
+  std::mutex ready_mu_;
+  /// Shards that queued events since the last tick() (workers > 0).
+  std::vector<std::shared_ptr<Shard>> ready_;
 };
 
 }  // namespace flowdiff::core

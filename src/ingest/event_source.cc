@@ -18,6 +18,11 @@ namespace flowdiff::ingest {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Reads one SocketSource::poll makes per client (1 MiB at most). A
+/// producer faster than parsing would otherwise keep one poll reading
+/// until EAGAIN, and nothing downstream would see an event until it
+/// paused; bounded, every poll hands its events on within a fixed budget.
+constexpr int kMaxReadsPerPoll = 16;
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -260,7 +265,7 @@ std::size_t SocketSource::drain_client(Client& client,
   std::size_t produced = 0;
   *closed = false;
   char buf[kReadChunk];
-  for (;;) {
+  for (int reads = 0; reads < kMaxReadsPerPoll; ++reads) {
     const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       produced += consume_text(
@@ -302,7 +307,8 @@ std::size_t SocketSource::poll(std::vector<of::ControlEvent>& out) {
     clients_.push_back(Client{fd, {}});
   }
 
-  // Drain every connected producer; drop the ones that hung up.
+  // Read every connected producer (up to the per-poll budget); drop the
+  // ones that hung up.
   for (std::size_t i = 0; i < clients_.size();) {
     bool closed = false;
     produced += drain_client(clients_[i], out, &closed);

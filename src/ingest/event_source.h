@@ -62,9 +62,10 @@ class EventSource {
   EventSource(const EventSource&) = delete;
   EventSource& operator=(const EventSource&) = delete;
 
-  /// Drains everything the source has available right now, appending
-  /// parsed events to `out` in arrival order. Never blocks; returns the
-  /// number of events appended.
+  /// Reads what the source has available right now, appending parsed
+  /// events to `out` in arrival order. Never blocks; returns the number of
+  /// events appended. A file tail drains to EOF; a socket reads a bounded
+  /// budget per client, so a fast producer's backlog spans several polls.
   virtual std::size_t poll(std::vector<of::ControlEvent>& out) = 0;
 
   /// True when the source cannot currently produce more without external
@@ -171,6 +172,8 @@ class SocketSource : public EventSource {
     std::string partial;
   };
 
+  /// Reads up to kMaxReadsPerPoll chunks from one client; sets `closed`
+  /// when the producer hung up.
   std::size_t drain_client(Client& client, std::vector<of::ControlEvent>& out,
                            bool* closed);
 

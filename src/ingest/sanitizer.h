@@ -11,11 +11,16 @@
 //   * bounded-lateness reorder buffer — events are held until the
 //     watermark (max timestamp seen - lateness_horizon) passes them, so
 //     any arrival displaced by at most the horizon is emitted back in
-//     timestamp order; arrivals behind an already-released watermark are
-//     dropped and counted (late_dropped);
+//     timestamp order (ties in arrival order); arrivals behind an
+//     already-released watermark are dropped and counted (late_dropped).
+//     Almost every arrival is in order, so the buffer is split: in-order
+//     arrivals append to a contiguous ring, displaced ones go to a small
+//     (ts, arrival) min-heap, and release merges the two fronts;
 //   * duplicate suppression — an arrival identical to a buffered event
-//     with the same timestamp (same message type, switch, flow key,
-//     xid/cookie-equivalent uid, counters) is dropped and counted;
+//     with the same timestamp (every field: message type, switch, flow
+//     key, xid/cookie-equivalent uid, counters) is dropped and counted.
+//     Identity is a 64-bit hash over exactly the fields serialize_event
+//     writes; only a hash match pays for the full field comparison;
 //   * truncation guard — records whose byte/packet counters contradict
 //     each other (bytes without packets or packets without bytes on
 //     FlowRemoved/FlowStatsReply) are dropped rather than poisoning FS
@@ -30,16 +35,17 @@
 //
 // Invariant: a clean, time-ordered stream passes through bit-identically
 // (same events, same order) with zero duplicates/late/truncated counts —
-// parallel_model_test and the golden corpus pin this.
+// parallel_model_test and the golden corpus pin this. On any stream, the
+// released events and quality records equal those of the original
+// multimap implementation (tests/reference_sanitizer.h), which
+// sanitizer_differential_test checks on seeded adversarial streams.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
-#include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "ingest/stream_quality.h"
 #include "openflow/control_log.h"
@@ -84,23 +90,68 @@ class StreamSanitizer {
   /// fed == kept + duplicates + late_dropped + truncated.
   [[nodiscard]] const StreamQuality& total() const { return total_; }
 
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const {
+    return ring_.size() + heap_.size();
+  }
 
   /// How far (in stream time, µs) the release watermark trails the newest
   /// arrival — the reordering delay the sanitizer is currently imposing on
   /// detection. At most the lateness horizon; 0 before any push and after
   /// flush() has caught the watermark up.
   [[nodiscard]] SimDuration watermark_lag() const {
-    if (max_ts_ == kNoTs || buffer_.empty()) return 0;
-    const SimTime released =
-        released_up_to_ == kNoTs ? max_ts_ - config_.lateness_horizon
-                                 : released_up_to_;
-    return max_ts_ > released ? max_ts_ - released : 0;
+    if (max_ts_ == kNoTs || buffered() == 0) return 0;
+    // Every push releases up to its (saturated) watermark, so with events
+    // buffered released_up_to_ is that watermark. It is kNoTs only when
+    // max_ts_ sits within the horizon of kNoTs, where the difference fits.
+    return max_ts_ > released_up_to_ ? max_ts_ - released_up_to_ : 0;
   }
 
   [[nodiscard]] const SanitizerConfig& config() const { return config_; }
 
  private:
+  /// One buffered arrival. `seq` ranks it among admitted arrivals, so
+  /// (event.ts, seq) is the release order: timestamp, then arrival.
+  struct Slot {
+    std::uint64_t seq = 0;
+    std::uint64_t identity = 0;  ///< event_identity(); 0 with dedup off.
+    of::ControlEvent event;
+  };
+  [[nodiscard]] static bool releases_before(const Slot& a, const Slot& b) {
+    return a.event.ts != b.event.ts ? a.event.ts < b.event.ts
+                                    : a.seq < b.seq;
+  }
+  /// Heap comparator: keeps the earliest (ts, seq) on top of heap_.
+  [[nodiscard]] static bool releases_after(const Slot& a, const Slot& b) {
+    return releases_before(b, a);
+  }
+
+  /// Power-of-two circular buffer of in-order arrivals; sorted by
+  /// (ts, seq) because only arrivals at or past the newest timestamp
+  /// append. Storage is kept across releases, so a steady stream stops
+  /// allocating once the ring has grown to the horizon's depth.
+  class Ring {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] Slot& operator[](std::size_t i) {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    [[nodiscard]] Slot& front() { return slots_[head_]; }
+    void push_back(Slot slot);
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+
+   private:
+    std::vector<Slot> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// True if a buffered event with `event`'s timestamp is identical to it.
+  [[nodiscard]] bool is_duplicate(const of::ControlEvent& event,
+                                  std::uint64_t identity);
   /// Emits every buffered event with ts <= watermark, oldest first.
   void release(SimTime watermark, const Sink& sink);
   /// Pairs released PacketIns/FlowMods by flow uid (uid 0 = unknown).
@@ -108,11 +159,9 @@ class StreamSanitizer {
   [[nodiscard]] bool is_truncated(const of::ControlEvent& event) const;
 
   SanitizerConfig config_;
-  /// Reorder buffer keyed by timestamp. The string is the event's cached
-  /// serialization (the duplicate-suppression identity), computed lazily
-  /// on the first same-timestamp collision — empty means "not computed
-  /// yet", which a real serialization can never be.
-  std::multimap<SimTime, std::pair<std::string, of::ControlEvent>> buffer_;
+  Ring ring_;               ///< In-order arrivals (ts >= max_ts_ on push).
+  std::vector<Slot> heap_;  ///< Displaced arrivals; min-heap on (ts, seq).
+  std::uint64_t next_seq_ = 0;
   /// Timestamps are signed and a corrupted capture can legally parse to a
   /// negative one, so -1 is not a safe "nothing yet" sentinel: it would
   /// make flush() strand (and never account for) events at ts <= -1.

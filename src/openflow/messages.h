@@ -24,6 +24,8 @@ struct PacketIn {
   /// the log analysis group the PacketIns of one flow across switches the
   /// same way a real analysis groups them by 5-tuple + time proximity.
   std::uint64_t flow_uid = 0;
+
+  friend bool operator==(const PacketIn&, const PacketIn&) = default;
 };
 
 /// Controller -> switch: install a flow entry.
@@ -35,6 +37,8 @@ struct FlowMod {
   SimDuration hard_timeout = 0;
   FlowKey key;              ///< Flow that triggered the install.
   std::uint64_t flow_uid = 0;
+
+  friend bool operator==(const FlowMod&, const FlowMod&) = default;
 };
 
 /// Controller -> switch: release the buffered packet.
@@ -43,6 +47,8 @@ struct PacketOut {
   PortId out_port;
   FlowKey key;
   std::uint64_t flow_uid = 0;
+
+  friend bool operator==(const PacketOut&, const PacketOut&) = default;
 };
 
 enum class RemovedReason : std::uint8_t { kIdleTimeout, kHardTimeout, kDelete };
@@ -56,11 +62,15 @@ struct FlowRemoved {
   SimDuration duration = 0;     ///< Lifetime of the entry.
   std::uint64_t byte_count = 0;
   std::uint64_t packet_count = 0;
+
+  friend bool operator==(const FlowRemoved&, const FlowRemoved&) = default;
 };
 
 /// Switch -> controller keepalive; used for controller liveness modeling.
 struct EchoReply {
   SwitchId sw;
+
+  friend bool operator==(const EchoReply&, const EchoReply&) = default;
 };
 
 /// Switch -> controller: one flow entry's counters, in answer to a stats
@@ -73,6 +83,9 @@ struct FlowStatsReply {
   SimDuration age = 0;          ///< Entry lifetime at poll time.
   std::uint64_t byte_count = 0;
   std::uint64_t packet_count = 0;
+
+  friend bool operator==(const FlowStatsReply&,
+                         const FlowStatsReply&) = default;
 };
 
 using ControlMessage = std::variant<PacketIn, FlowMod, PacketOut,
@@ -86,6 +99,10 @@ struct ControlEvent {
   ControlMessage msg;
 
   [[nodiscard]] std::string to_string() const;
+
+  /// Field-wise identity. serialize_event writes every field, so two
+  /// events compare equal exactly when their log lines do.
+  friend bool operator==(const ControlEvent&, const ControlEvent&) = default;
 };
 
 [[nodiscard]] const char* message_name(const ControlMessage& msg);

@@ -5,14 +5,18 @@
 // accounting downstream, not silent gaps.
 #include "ingest/event_source.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flowdiff/monitor.h"
@@ -292,6 +296,78 @@ TEST(SocketSource, UnixDomainSocketRoundTrips) {
   ::close(fd);
   ASSERT_EQ(events.size(), 1u);
   fs::remove_all(dir);
+}
+
+TEST(SocketSource, LargeBacklogComesBackOverSeveralBoundedPolls) {
+  // A producer that offers 4 MiB at once must not pin one poll() until the
+  // socket runs dry: each poll reads a bounded budget per client (16 reads
+  // of 64 KiB), so the backlog comes back over several polls — in order,
+  // complete, and with the same totals an unbounded drain would report.
+  std::string text;
+  std::size_t lines = 0;
+  while (text.size() < (std::size_t{4} << 20)) {
+    text += pin_line(1000 + static_cast<long long>(lines), 0,
+                     static_cast<int>(lines % 50000));
+    ++lines;
+  }
+  std::optional<SocketSource> source(std::in_place, "t",
+                                     SocketSourceConfig{});
+  ASSERT_TRUE(source->start()) << source->last_error();
+  const int fd = flowdiff::testing::http_connect(source->port());
+  ASSERT_GE(fd, 0);
+  // Before the first poll, fill the connection until the kernel takes no
+  // more (as much of the 4 MiB as its socket buffers hold); a writer
+  // thread sends the rest while the source polls.
+  ASSERT_EQ(::fcntl(fd, F_SETFL, O_NONBLOCK), 0);
+  std::size_t prefilled = 0;
+  while (prefilled < text.size()) {
+    const ssize_t n = ::send(fd, text.data() + prefilled,
+                             text.size() - prefilled, MSG_NOSIGNAL);
+    if (n <= 0) break;  // EAGAIN: the socket buffers are full.
+    prefilled += static_cast<std::size_t>(n);
+  }
+  ASSERT_EQ(::fcntl(fd, F_SETFL, 0), 0);
+  std::thread writer([fd, prefilled, &text] {
+    for (std::size_t off = prefilled; off < text.size();) {
+      const ssize_t n = ::send(fd, text.data() + off, text.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;  // The source went away (test failure path).
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+
+  constexpr std::uint64_t kPollBudget = 16 * 64 * 1024;
+  std::vector<of::ControlEvent> events;
+  std::size_t productive_polls = 0;
+  std::uint64_t max_poll_bytes = 0;
+  for (int idle = 0; idle < 2000 && events.size() < lines;) {
+    const std::uint64_t before = source->stats().bytes;
+    if (source->poll(events) > 0) {
+      ++productive_polls;
+    } else {
+      ++idle;
+      ::usleep(1000);
+    }
+    max_poll_bytes = std::max(max_poll_bytes, source->stats().bytes - before);
+  }
+  const SourceStats stats = source->stats();
+  source.reset();  // Unblocks the writer if the test bailed out early.
+  writer.join();
+
+  ASSERT_EQ(events.size(), lines);
+  EXPECT_EQ(stats.events, lines);
+  EXPECT_EQ(stats.bytes, text.size());
+  EXPECT_EQ(stats.lines_rejected, 0u);
+  EXPECT_LE(max_poll_bytes, kPollBudget) << prefilled << " bytes prefilled";
+  EXPECT_GE(productive_polls, 4u) << "4 MiB at <= 1 MiB per poll";
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].ts != SimTime{1000 + static_cast<SimTime>(i)}) {
+      ++out_of_order;
+    }
+  }
+  EXPECT_EQ(out_of_order, 0u);
 }
 
 // --- the gap contract ------------------------------------------------------

@@ -1,18 +1,24 @@
 // MonitorManager: per-tenant shard lifecycle, demux determinism (pinned
-// against the single-tenant golden corpus), fault isolation, idle
-// eviction tombstones, and aggregate health.
+// against the single-tenant golden corpus), round-boundary dispatch on a
+// worker pool, fault isolation, idle eviction tombstones, and aggregate
+// health.
 #include "flowdiff/monitor_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiment/corpus.h"
+#include "faults/corruptor.h"
 #include "flowdiff/monitor.h"
+#include "flowdiff/provenance.h"
 #include "openflow/log_io.h"
 
 namespace flowdiff::core {
@@ -62,6 +68,80 @@ std::string tenant_transcript(const MonitorManager& manager,
     return {};
   }
   return render_monitor_transcript(*snap);
+}
+
+/// The tenant's retained provenance records, latency fields omitted.
+std::string tenant_provenance(const MonitorManager& manager,
+                              const std::string& tenant) {
+  const auto snap = manager.snapshot(tenant);
+  if (!snap) {
+    ADD_FAILURE() << "no snapshot for tenant " << tenant;
+    return {};
+  }
+  std::string out = "dropped=" + std::to_string(snap->provenance_dropped);
+  for (const auto& record : snap->provenance) {
+    out += '\n';
+    out += render_provenance_text(record, /*with_latency=*/false);
+  }
+  return out;
+}
+
+/// Four corrupted tenant streams: the committed corrupted capture plus
+/// three clean captures, each through its own seeded 5% corruptor.
+std::vector<std::vector<of::ControlEvent>> corrupted_streams() {
+  std::vector<std::vector<of::ControlEvent>> streams;
+  streams.push_back(CorpusFixture("corrupted_slowdown").corpus_case.events);
+  std::uint64_t seed = 11;
+  for (const char* stem : {"steady", "slowdown", "unauthorized"}) {
+    of::ControlLog log;
+    for (const auto& event : CorpusFixture(stem).corpus_case.events) {
+      log.append(event);
+    }
+    faults::StreamCorruptor corruptor(
+        faults::CorruptorConfig::uniform(0.05, seed++));
+    streams.push_back(corruptor.corrupt(log));
+  }
+  return streams;
+}
+
+struct Transcripts {
+  std::vector<std::string> monitor;
+  std::vector<std::string> provenance;
+};
+
+/// serve --by-controller's shape: the streams interleaved round-robin, one
+/// feed() per event, tick() after every `tick_every` feeds (0 = never),
+/// then stop_all().
+Transcripts feed_per_event(const MonitorOptions& options, int workers,
+                           const std::vector<std::vector<of::ControlEvent>>&
+                               streams,
+                           std::size_t tick_every) {
+  ManagerConfig config;
+  config.options = options;
+  config.workers = workers;
+  MonitorManager manager(config);
+  std::vector<std::string> tenants;
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    tenants.push_back("ctrl" + std::to_string(t));
+  }
+  std::size_t fed = 0;
+  for (std::size_t i = 0;; ++i) {
+    bool any = false;
+    for (std::size_t t = 0; t < streams.size(); ++t) {
+      if (i >= streams[t].size()) continue;
+      any = true;
+      EXPECT_TRUE(manager.feed(tenants[t], streams[t][i]));
+      if (tick_every > 0 && ++fed % tick_every == 0) manager.tick();
+    }
+    if (!any) break;
+  }
+  manager.stop_all();
+  Transcripts out;
+  for (const auto& tenant : tenants) {
+    out.monitor.push_back(tenant_transcript(manager, tenant));
+    out.provenance.push_back(tenant_provenance(manager, tenant));
+  }
+  return out;
 }
 
 TEST(MonitorManager, SingleTenantMatchesGoldenTranscript) {
@@ -121,6 +201,100 @@ TEST(MonitorManager, ParallelWorkersMatchSerialTranscripts) {
     EXPECT_EQ(tenant_transcript(manager, tenant), corpus.golden)
         << tenant;
   }
+}
+
+TEST(MonitorManager, TickedPerEventFeedsOnWorkersMatchSerial) {
+  // With workers, feed() only queues and tick() hands each round's queued
+  // shards to the pool. However the rounds fall, every corrupted tenant's
+  // transcript and provenance must match the inline workers-0 run.
+  const CorpusFixture corpus("corrupted_slowdown");
+  const auto streams = corrupted_streams();
+  const Transcripts serial =
+      feed_per_event(corpus.options(), 0, streams, /*tick_every=*/0);
+  ASSERT_EQ(serial.monitor.front(), corpus.golden);
+  bool recorded = false;  // Past the "dropped=" line: at least one record.
+  for (const auto& text : serial.provenance) {
+    recorded = recorded || text.find('\n') != std::string::npos;
+  }
+  ASSERT_TRUE(recorded) << "no tenant produced a provenance record";
+
+  for (const std::size_t tick_every : {1u, 97u, 4000u, 20000u}) {
+    const Transcripts pooled =
+        feed_per_event(corpus.options(), 2, streams, tick_every);
+    for (std::size_t t = 0; t < streams.size(); ++t) {
+      EXPECT_EQ(pooled.monitor[t], serial.monitor[t])
+          << "tenant " << t << " tick_every " << tick_every;
+      EXPECT_EQ(pooled.provenance[t], serial.provenance[t])
+          << "tenant " << t << " tick_every " << tick_every;
+    }
+  }
+}
+
+TEST(MonitorManager, TickHandsQueuedShardsToThePool) {
+  // Below kFeedBatch a feed on a pooled manager only queues: no task
+  // exists until tick() submits one, which then feeds the events with no
+  // drain() behind it.
+  const CorpusFixture corpus("steady");
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t seen = 0;
+  ManagerConfig config;
+  config.options = corpus.options();
+  config.workers = 2;
+  config.feed_hook = [&](const std::string&, const of::ControlEvent&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ++seen;
+    cv.notify_all();
+  };
+  MonitorManager manager(config);
+  constexpr std::size_t kEvents = 100;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(manager.feed("a", corpus.corpus_case.events[i]));
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(seen, 0u) << "events were fed before the round boundary";
+  }
+  manager.tick();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    // The bound only matters if tick() failed to dispatch.
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return seen == kEvents; }))
+        << seen << " of " << kEvents << " events fed after tick()";
+  }
+  manager.stop_all();
+}
+
+TEST(MonitorManager, UntickedFeedsStillReachDrainAndStopAll) {
+  // A caller that never ticks: queues past kFeedBatch dispatch by
+  // themselves, and drain()/stop_all() dispatch the remainder.
+  const CorpusFixture corpus("steady");
+  const auto& events = corpus.corpus_case.events;
+  ASSERT_GT(events.size(), 2 * MonitorManager::kFeedBatch);
+  ManagerConfig config;
+  config.options = corpus.options();
+  config.workers = 2;
+  MonitorManager manager(config);
+  ManagerConfig serial_config = config;
+  serial_config.workers = 0;
+  MonitorManager serial(serial_config);
+
+  for (const auto& event : events) {
+    ASSERT_TRUE(manager.feed("a", event));
+    ASSERT_TRUE(manager.feed("b", event));
+    ASSERT_TRUE(serial.feed("a", event));
+  }
+  // drain() leaves nothing queued: "a" has closed exactly the windows the
+  // inline manager closed on the same events.
+  manager.drain("a");
+  ASSERT_GT(serial.status("a")->windows, 0u);
+  EXPECT_EQ(manager.status("a")->windows, serial.status("a")->windows);
+
+  manager.stop_all();
+  EXPECT_EQ(tenant_transcript(manager, "a"), corpus.golden);
+  EXPECT_EQ(tenant_transcript(manager, "b"), corpus.golden);
+  EXPECT_EQ(manager.status("b")->events, events.size());
 }
 
 TEST(MonitorManager, FaultIsOneTenantsProblem) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -189,7 +190,21 @@ TEST(ParallelModel, ScrapeUnderLoadKeepsTranscriptIdentical) {
         }
       });
 
-      monitor->feed(scenario().current);
+      // Two slices with a completed scrape between them, so at least one
+      // request provably lands while windows are committing: on a loaded
+      // host a single feed could finish before the scraper's first
+      // request. The deadline only matters if the plane never answers.
+      const auto& events = scenario().current.events();
+      const auto half =
+          events.begin() + static_cast<std::ptrdiff_t>(events.size() / 2);
+      monitor->feed(std::vector<of::ControlEvent>(events.begin(), half));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (scrapes.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      monitor->feed(std::vector<of::ControlEvent>(half, events.end()));
       monitor->flush();
       stop.store(true, std::memory_order_relaxed);
       scraper.join();

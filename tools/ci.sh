@@ -2,12 +2,14 @@
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
 #   2. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
-#      rerun ctest, then rerun the telemetry-plane suite (ctest -L http)
-#      so its verdict is visible on its own in the transcript;
+#      rerun ctest, then rerun the ingest-sanitizer suites (ctest -L
+#      ingest) and the telemetry-plane suite (ctest -L http) so their
+#      verdicts are visible on their own in the transcript;
 #   3. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
 #      sampler/recorder/watchdog code paths PRs keep touching), plus the
-#      ingest legs: the golden-trace corpus (ctest -L corpus) and the
+#      ingest legs: the sanitizer's unit and differential suites (ctest -L
+#      ingest), the golden-trace corpus (ctest -L corpus) and the
 #      seeded-corruption fuzz suites (ctest -L fuzz) — corrupted captures
 #      are exactly where out-of-range arithmetic would hide — the
 #      adversarial-scenario suites (ctest -L attack: attack generators,
@@ -92,6 +94,11 @@ if [[ "$skip_asan" -eq 0 ]]; then
   echo "== ASan: golden corpus + corruption fuzz (ctest -L corpus/fuzz) =="
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L 'corpus|fuzz'
+  # The sanitizer's ring/heap reorder buffer indexes a circular buffer by
+  # hand; its unit and differential suites run instrumented here.
+  echo "== ASan: ingest sanitizer (ctest -L ingest) =="
+  ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
+    --no-tests=error -L ingest
   echo "== ASan: telemetry plane (ctest -L http) =="
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L http
@@ -114,6 +121,11 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
   echo "== UBSan: golden corpus + corruption fuzz (ctest -L corpus/fuzz) =="
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L 'corpus|fuzz'
+  # Watermark saturation next to the int64 minimum and the identity hash's
+  # shifts are where signed/shift UB would hide.
+  echo "== UBSan: ingest sanitizer (ctest -L ingest) =="
+  ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
+    --no-tests=error -L ingest
   echo "== UBSan: adversarial scenario suites (ctest -L attack) =="
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L attack
