@@ -50,12 +50,6 @@ struct MonitorMetrics {
   /// (µs of stream time buffered for reordering; 0 without a sanitizer).
   obs::Gauge& watermark_lag_us =
       obs::Registry::global().gauge("monitor.watermark_lag_us");
-  obs::Gauge& pipeline_depth =
-      obs::Registry::global().gauge("monitor.pipeline.depth");
-  obs::Counter& pipeline_stalls =
-      obs::Registry::global().counter("monitor.pipeline.stalls");
-  obs::LatencyHistogram& pipeline_stall_ms =
-      obs::Registry::global().histogram("monitor.pipeline.stall_ms", 1.0);
   /// Windows modeled from delta-maintained aggregates vs. windows that had
   /// to rebuild from scratch (out-of-order events, aggregate overflow,
   /// unsupported config). fallbacks staying at zero on a clean stream is
@@ -99,23 +93,10 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
     inc_.emplace(flowdiff_.modeler().config(),
                  flowdiff_.modeler().shared_executor());
   }
-  if (pipelined()) {
-    pipeline_thread_ = std::thread([this] { pipeline_loop(); });
-  }
 }
 
 SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
     : SlidingMonitor(options.monitor_config()) {}
-
-SlidingMonitor::~SlidingMonitor() {
-  if (!pipeline_thread_.joinable()) return;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_work_.notify_all();
-  pipeline_thread_.join();
-}
 
 void SlidingMonitor::feed(const of::ControlEvent& event) {
   feed_wall_ = std::chrono::steady_clock::now();
@@ -161,13 +142,6 @@ void SlidingMonitor::flush() {
   if (window_start_ >= 0 && !current_.empty()) {
     close_window(current_.end_time() + 1);
   }
-  drain();
-}
-
-void SlidingMonitor::drain() {
-  if (!pipeline_thread_.joinable()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_idle_.wait(lock, [this] { return queue_.empty() && !processing_; });
 }
 
 bool SlidingMonitor::has_baseline() const {
@@ -204,11 +178,6 @@ SimTime SlidingMonitor::baseline_captured_at() const {
   return baseline_begin_;
 }
 
-std::uint64_t SlidingMonitor::pipeline_stalls() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stalls_;
-}
-
 ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
 }
@@ -228,7 +197,6 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
   snap.alarms = alarms_;
   snap.provenance.assign(provenance_.begin(), provenance_.end());
   snap.provenance_dropped = provenance_dropped_;
-  snap.pipeline_stalls = stalls_;
   return snap;
 }
 
@@ -239,7 +207,6 @@ MonitorHealth SlidingMonitor::health() const {
     const std::lock_guard<std::mutex> lock(mu_);
     health.windows = windows_;
     health.alarms = alarms_.size();
-    health.pipeline_stalls = stalls_;
     health.suppressed_changes = suppressed_total_;
     health.quality = quality_total_;
   }
@@ -263,13 +230,9 @@ MonitorHealth SlidingMonitor::health() const {
 }
 
 void SlidingMonitor::close_window(SimTime window_end) {
+  const auto close_wall = std::chrono::steady_clock::now();
   const SimTime begin = window_start_;
   window_start_ = window_end;
-  of::ControlLog window_log = std::move(current_);
-  // Recycle the previously retired window's storage (empty, capacity
-  // intact) so steady-state windowing stops allocating per window.
-  current_ = std::move(scratch_);
-  current_.clear();
   // Window attribution: counters accumulated while this window was open.
   // Events still in the reorder buffer were fed but not yet kept; they
   // reconcile in the window that releases them.
@@ -277,128 +240,21 @@ void SlidingMonitor::close_window(SimTime window_end) {
   if (sanitizer_) {
     quality = sanitizer_->take_window_quality();
     metrics().watermark_lag_us.set(sanitizer_->watermark_lag());
-    // Health accumulation happens here on the feed thread (not in
-    // process_window) so idle-window quality is never lost and a /healthz
-    // scrape sees corruption as soon as the window closes.
+    // Accumulated before the idle-window early return, so idle-window
+    // quality is never lost and a /healthz scrape sees corruption as soon
+    // as the window closes.
     const std::lock_guard<std::mutex> lock(mu_);
     quality_total_ += quality;
   }
-  if (window_log.empty()) {
-    scratch_ = std::move(window_log);  // Idle window: nothing to model.
-    return;  // inc_state_ was never fed, so it is still fresh.
-  }
-  PendingWindow pending;
-  pending.log = std::move(window_log);
-  pending.begin = begin;
-  pending.end = window_end;
-  pending.quality = quality;
-  if (inc_) pending.inc = std::move(inc_state_);
-  pending.arrival_wall = feed_wall_;
-  pending.close_wall = std::chrono::steady_clock::now();
-  if (pipelined()) {
-    // The pipeline thread owns the log and aggregates from here; refill the
-    // feed side's scratch storage from the recycling pools the pipeline
-    // thread feeds (empty pools just mean a fresh allocation, as during
-    // warmup while the first windows are still in flight).
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (!log_pool_.empty()) {
-        scratch_ = std::move(log_pool_.back());
-        log_pool_.pop_back();
-      }
-      if (inc_ && !state_pool_.empty()) {
-        inc_state_ = std::move(state_pool_.back());
-        state_pool_.pop_back();
-      }
-    }
-    // Moving a struct copies its scalar members, so the moved-from state
-    // still carries stale flags; pooled entries arrive reset, but reset
-    // again unconditionally — it is a cheap no-op on clean state.
-    if (inc_) inc_state_.reset();
-    enqueue_window(std::move(pending));
-    return;
-  }
-  process_window(std::move(pending));
-  // process_window read the log and aggregates in place; take the storage
-  // back (cleared, capacity intact) as the next window's scratch.
-  scratch_ = std::move(pending.log);
-  scratch_.clear();
-  if (inc_) {
-    pending.inc.reset();
-    inc_state_ = std::move(pending.inc);
-  }
+  if (current_.empty()) return;  // Idle window: nothing to model.
+  process_window(begin, window_end, quality, close_wall);
+  current_.clear();
+  if (inc_) inc_state_.reset();
 }
 
-void SlidingMonitor::enqueue_window(PendingWindow pending) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.size() >= config_.pipeline_depth) {
-      // Backpressure: ingestion outran the modeler. Block until the
-      // pipeline catches up; the stall is the signal a production deploy
-      // would alert on (window too small, or workers too few).
-      ++stalls_;
-      metrics().pipeline_stalls.inc();
-      if (obs::enabled()) {
-        obs::FlightRecorder::global().record(
-            obs::Severity::kWarn, "monitor", "pipeline backpressure stall",
-            {{"backlog", std::to_string(queue_.size())},
-             {"depth_limit", std::to_string(config_.pipeline_depth)}},
-            to_seconds(pending.begin));
-      }
-      const auto stall_start = std::chrono::steady_clock::now();
-      queue_space_.wait(lock, [this] {
-        return queue_.size() < config_.pipeline_depth;
-      });
-      const std::chrono::duration<double, std::milli> stalled =
-          std::chrono::steady_clock::now() - stall_start;
-      metrics().pipeline_stall_ms.observe(stalled.count());
-    }
-    queue_.push_back(std::move(pending));
-    metrics().pipeline_depth.set(
-        static_cast<std::int64_t>(queue_.size()));
-  }
-  queue_work_.notify_one();
-}
-
-void SlidingMonitor::pipeline_loop() {
-  for (;;) {
-    PendingWindow pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        queue_idle_.notify_all();
-        return;  // stop_ set and backlog drained.
-      }
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      processing_ = true;
-      metrics().pipeline_depth.set(
-          static_cast<std::int64_t>(queue_.size()));
-    }
-    queue_space_.notify_one();
-    process_window(std::move(pending));
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      processing_ = false;
-      // process_window reads the pending storage in place (never moves it),
-      // so the retired window's log and aggregates are safe to recycle
-      // here — cleared, capacity intact — for the feed thread to pick up
-      // at its next close. Before this, pipelined mode allocated fresh
-      // window storage every cycle while the synchronous path reused its
-      // scratch; monitor_pipeline_test exercises the handoff under TSan.
-      pending.log.clear();
-      log_pool_.push_back(std::move(pending.log));
-      if (inc_) {
-        pending.inc.reset();
-        state_pool_.push_back(std::move(pending.inc));
-      }
-      if (queue_.empty()) queue_idle_.notify_all();
-    }
-  }
-}
-
-void SlidingMonitor::process_window(PendingWindow&& pending) {
+void SlidingMonitor::process_window(
+    SimTime begin, SimTime window_end, const ingest::StreamQuality& quality,
+    std::chrono::steady_clock::time_point close_wall) {
   const obs::Span span("monitor/window");
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_ms = [](std::chrono::steady_clock::time_point from,
@@ -406,13 +262,10 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     const std::chrono::duration<double, std::milli> d = to - from;
     return d.count() < 0.0 ? 0.0 : d.count();
   };
-  const of::ControlLog& window_log = pending.log;
-  const SimTime begin = pending.begin;
-  const SimTime window_end = pending.end;
-  ingest::StreamQuality quality = pending.quality;
+  const of::ControlLog& window_log = current_;
   StageLatency latency;
-  latency.ingest_ms = wall_ms(pending.arrival_wall, pending.close_wall);
-  latency.queue_ms = wall_ms(pending.close_wall, wall_start);
+  latency.ingest_ms = wall_ms(feed_wall_, close_wall);
+  latency.queue_ms = wall_ms(close_wall, wall_start);
   WindowAudit audit;
   audit.window_begin = begin;
   audit.window_end = window_end;
@@ -439,13 +292,13 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   // aggregates valid, finalize them instead of rebuilding from the raw log.
   // Bit-identical by construction (incremental_model.h); any window the
   // stream could not represent falls back to the from-scratch oracle.
-  const bool use_incremental = inc_ && inc_->ready(pending.inc);
+  const bool use_incremental = inc_ && inc_->ready(inc_state_);
   if (inc_) {
     (use_incremental ? metrics().incremental_windows
                      : metrics().incremental_fallbacks)
         .inc();
   }
-  BehaviorModel model = use_incremental ? inc_->finalize(pending.inc)
+  BehaviorModel model = use_incremental ? inc_->finalize(inc_state_)
                                         : flowdiff_.model(window_log);
   const auto model_done = std::chrono::steady_clock::now();
   latency.model_ms = wall_ms(wall_start, model_done);
@@ -478,9 +331,9 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   const bool clean = report.clean();
   // Any unknown or suppressed change earns the window a provenance record:
   // alarmed windows explain what fired, suppressed-only windows explain
-  // why nothing did. The id is assigned here (the processing thread is the
-  // sole window consumer, so the sequence is deterministic) but the record
-  // commits with the audit under the lock.
+  // why nothing did. The id is assigned here (windows close in stream
+  // order, so the sequence is deterministic) but the record commits with
+  // the audit under the lock.
   std::optional<ProvenanceRecord> record;
   if (!report.unknown.empty() || !report.suppressed.empty()) {
     record = build_provenance(report, config_.provenance_top_k);
@@ -558,7 +411,7 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     const auto decided = std::chrono::steady_clock::now();
     record->latency = latency;
     record->latency.decide_ms = wall_ms(diff_done, decided);
-    record->latency.total_ms = wall_ms(pending.arrival_wall, decided);
+    record->latency.total_ms = wall_ms(feed_wall_, decided);
     metrics().latency_decide.observe(record->latency.decide_ms);
     if (record->alarmed) {
       metrics().latency_event_to_alarm.observe(record->latency.total_ms);
@@ -638,8 +491,7 @@ std::string render_monitor_transcript(const SlidingMonitor& monitor) {
 
 std::string render_provenance_transcript(const SlidingMonitor& monitor) {
   // Like render_monitor_transcript: wall-clock latency fields omitted, so
-  // identical runs — at any worker count or pipeline depth — produce
-  // identical text.
+  // identical runs — at any worker count — produce identical text.
   std::string out;
   out += "=== provenance transcript ===\n";
   out += "records=" + std::to_string(monitor.provenance().size()) +

@@ -10,12 +10,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "flowdiff/flowdiff.h"
@@ -72,15 +70,6 @@ struct MonitorConfig {
   /// state cannot represent (out-of-order events, aggregate overflow,
   /// unsupported config) fall back to core::Modeler automatically.
   bool incremental = true;
-  /// > 0 enables pipelined window processing: a closed window's model+diff
-  /// runs on a dedicated pipeline thread while feed() keeps ingesting the
-  /// next window. The value bounds the closed-windows-in-flight backlog;
-  /// when it is full, feed() blocks (backpressure) until the pipeline
-  /// catches up, recording a flight-recorder event and bumping
-  /// monitor.pipeline.stalls. Windows are processed strictly in closing
-  /// order by one thread, so alarms, audits, and baseline evolution are
-  /// identical to the synchronous mode (pipeline_depth == 0).
-  std::size_t pipeline_depth = 0;
 };
 
 struct MonitorAlarm {
@@ -129,7 +118,6 @@ struct MonitorSnapshot {
   /// Retained provenance ring, oldest first (see SlidingMonitor docs).
   std::vector<ProvenanceRecord> provenance;
   std::uint64_t provenance_dropped = 0;
-  std::uint64_t pipeline_stalls = 0;
 };
 
 /// Live self-assessment of the monitor, the /healthz contract: healthy
@@ -141,7 +129,6 @@ struct MonitorHealth {
   bool healthy = true;
   std::vector<std::string> reasons;  ///< Why unhealthy; empty when healthy.
   std::uint64_t watchdog_alerts = 0;
-  std::uint64_t pipeline_stalls = 0;
   std::size_t windows = 0;
   std::size_t alarms = 0;
   /// Unknown changes withheld across all windows (degraded stream).
@@ -152,12 +139,12 @@ struct MonitorHealth {
   ingest::StreamQuality quality;
 };
 
-/// In pipelined mode (MonitorConfig::pipeline_depth > 0), feed() may block
-/// on backpressure and window results materialize asynchronously; call
-/// flush() (or drain()) before reading alarms()/audits() — both synchronize
-/// with the pipeline thread, so reads after them are race-free. For live
-/// reads while another thread is still feeding, use snapshot()/health(),
-/// which copy under the commit lock.
+/// A monitor runs on the thread that feeds it: feed() and flush() model,
+/// diff, and commit every window they close before returning. The
+/// reference accessors (alarms(), audits(), provenance()) are for that
+/// thread, or for any thread once feeding has stopped. Other threads — the
+/// telemetry plane's scrapes — use snapshot(), health(), and
+/// find_provenance(), which copy under the commit lock.
 class SlidingMonitor {
  public:
   explicit SlidingMonitor(MonitorConfig config);
@@ -166,7 +153,6 @@ class SlidingMonitor {
   /// have run MonitorOptions::validate() first; the options' `listen`
   /// field is outside the monitor's scope and ignored here.
   explicit SlidingMonitor(const MonitorOptions& options);
-  ~SlidingMonitor();
 
   SlidingMonitor(const SlidingMonitor&) = delete;
   SlidingMonitor& operator=(const SlidingMonitor&) = delete;
@@ -175,9 +161,8 @@ class SlidingMonitor {
   /// time order; with MonitorConfig::sanitize they may arrive in raw
   /// capture order (displaced up to the lateness horizon) and the monitor
   /// windows the restored stream. Closing a window (a sanitized event's
-  /// timestamp crossing the boundary) triggers the diff for the window
-  /// that just ended — inline in synchronous mode, on the pipeline thread
-  /// (with bounded backlog) in pipelined mode.
+  /// timestamp crossing the boundary) models, diffs, and commits the
+  /// window that just ended before feed() returns.
   void feed(const of::ControlEvent& event);
 
   /// Convenience: feeds a whole log.
@@ -187,13 +172,8 @@ class SlidingMonitor {
   /// parsed with of::parse_control_events) in the order given.
   void feed(const std::vector<of::ControlEvent>& events);
 
-  /// Closes the current partial window (end of stream / shutdown) and, in
-  /// pipelined mode, waits until every enqueued window was processed.
+  /// Closes the current partial window (end of stream / shutdown).
   void flush();
-
-  /// Waits until the pipeline backlog is empty (no partial-window close).
-  /// No-op in synchronous mode.
-  void drain();
 
   [[nodiscard]] bool has_baseline() const;
   [[nodiscard]] const std::vector<MonitorAlarm>& alarms() const {
@@ -221,8 +201,6 @@ class SlidingMonitor {
       std::uint64_t id) const;
   [[nodiscard]] std::size_t windows_processed() const;
   [[nodiscard]] SimTime baseline_captured_at() const;
-  /// feed() calls that hit a full pipeline backlog and had to wait.
-  [[nodiscard]] std::uint64_t pipeline_stalls() const;
   /// Whole-run sanitizer totals (all-zero when sanitize is off). After
   /// flush(), fed == kept + duplicates + late_dropped + truncated.
   [[nodiscard]] ingest::StreamQuality stream_quality() const;
@@ -237,47 +215,30 @@ class SlidingMonitor {
   [[nodiscard]] std::uint64_t watchdog_alerts() const;
 
  private:
-  struct PendingWindow {
-    of::ControlLog log;
-    SimTime begin = 0;
-    SimTime end = 0;
-    ingest::StreamQuality quality;
-    /// The window's delta-maintained aggregates (moved off the feed side at
-    /// close). process_window finalizes these when ready; the raw log stays
-    /// the fallback input and the audit/metrics source either way.
-    IncrementalWindowState inc;
-    /// Detection-latency clock edges (steady_clock, the tracing-span
-    /// clock): when the window's newest event arrived at feed(), and when
-    /// the window closed. process_window adds the model/diff/decide edges.
-    std::chrono::steady_clock::time_point arrival_wall{};
-    std::chrono::steady_clock::time_point close_wall{};
-  };
-
   /// feed() after the sanitizer (or directly, when sanitize is off).
   void ingest_event(const of::ControlEvent& event);
+  /// Processes the window [window_start_, window_end) and starts the next
+  /// one: current_ and inc_state_ are cleared in place afterwards, so
+  /// steady-state windowing reuses their storage instead of allocating.
   void close_window(SimTime window_end);
-  /// Models + diffs one closed window and commits the outcome; runs on the
-  /// caller in synchronous mode, on pipeline_thread_ otherwise. Reads the
-  /// pending log in place, so a synchronous caller gets the (cleared)
-  /// storage back afterwards — close_window recycles it as the next
-  /// window's scratch buffer.
-  void process_window(PendingWindow&& pending);
+  /// Models + diffs the window held in current_ / inc_state_ and commits
+  /// the outcome. `close_wall` is when the window closed, the edge between
+  /// the ingest and queue latency stages.
+  void process_window(SimTime begin, SimTime window_end,
+                      const ingest::StreamQuality& quality,
+                      std::chrono::steady_clock::time_point close_wall);
   /// Stamps the wall time onto the audit record and files it, together
   /// with the window's provenance record (if the diff produced one).
   void finish_audit(WindowAudit audit,
                     std::chrono::steady_clock::time_point wall_start,
                     std::optional<ProvenanceRecord> record);
-  void enqueue_window(PendingWindow pending);
-  void pipeline_loop();
-  [[nodiscard]] bool pipelined() const { return config_.pipeline_depth > 0; }
 
   MonitorConfig config_;
   FlowDiff flowdiff_;
   /// Engaged when config_.incremental and the model config supports exact
   /// delta maintenance; shares the Modeler's executor pool.
   std::optional<IncrementalModeler> inc_;
-  /// Aggregates of the window currently being fed. Touched by the feed
-  /// thread only; moved into the PendingWindow at close.
+  /// Aggregates of the window currently being fed.
   IncrementalWindowState inc_state_;
   /// Engaged when config_.sanitize; feed() pushes raw arrivals through it
   /// and ingest_event() consumes the restored stream.
@@ -288,21 +249,18 @@ class SlidingMonitor {
   ingest::StreamSanitizer::Sink ingest_sink_;
   std::optional<BehaviorModel> baseline_;
   SimTime baseline_begin_ = -1;
+  /// Events of the window currently being fed: the from-scratch model's
+  /// input and the audit/metrics source.
   of::ControlLog current_;
-  /// Retired window storage recycled by close_window (synchronous mode):
-  /// cleared but with capacity intact, so steady-state windowing allocates
-  /// nothing per window.
-  of::ControlLog scratch_;
   SimTime window_start_ = -1;
   /// Wall time of the most recent feed()/push batch: the arrival stamp of
-  /// the newest event, the first detection-latency clock edge. Touched by
-  /// the feed thread only.
+  /// the newest event, the first detection-latency clock edge.
   std::chrono::steady_clock::time_point feed_wall_;
   std::vector<MonitorAlarm> alarms_;
   std::deque<WindowAudit> audits_;
   std::size_t audits_dropped_ = 0;
   /// Provenance ring (guarded by mu_ like audits_); the sequence counter
-  /// is touched only by the window-processing thread.
+  /// is touched only by the feeding thread.
   std::deque<ProvenanceRecord> provenance_;
   std::uint64_t provenance_dropped_ = 0;
   std::uint64_t provenance_seq_ = 0;
@@ -313,25 +271,10 @@ class SlidingMonitor {
   std::uint64_t suppressed_total_ = 0;
   obs::Watchdog watchdog_;
 
-  // Pipelined mode only. mu_ guards the queue and the result/baseline
-  // state committed by process_window; the pipeline thread is the sole
-  // consumer, so windows retire in FIFO order.
+  /// Guards the committed results (baseline, alarms, audits, provenance,
+  /// counters) against concurrent snapshot()/health() scrapes. The feeding
+  /// thread is the only writer, so it reads them without the lock.
   mutable std::mutex mu_;
-  std::condition_variable queue_space_;  ///< Backpressure: queue shrank.
-  std::condition_variable queue_work_;   ///< Work arrived (or stop).
-  std::condition_variable queue_idle_;   ///< Backlog empty and not busy.
-  std::deque<PendingWindow> queue_;
-  bool processing_ = false;  ///< Pipeline thread is inside process_window.
-  bool stop_ = false;
-  std::uint64_t stalls_ = 0;
-  /// Pipeline-mode storage recycling (guarded by mu_): the pipeline thread
-  /// returns each processed window's cleared log / aggregate storage here,
-  /// and the feed thread refills scratch_ / inc_state_ from the pools at
-  /// the next close — steady-state pipelined windowing then allocates
-  /// nothing per window, matching the synchronous path's scratch reuse.
-  std::vector<of::ControlLog> log_pool_;
-  std::vector<IncrementalWindowState> state_pool_;
-  std::thread pipeline_thread_;
 };
 
 /// Renders the monitor's audits and alarms as a deterministic transcript:
@@ -352,7 +295,7 @@ class SlidingMonitor {
 /// Deterministic transcript of the monitor's provenance ring (wall-clock
 /// latency fields omitted, like render_monitor_transcript omits wall_ms):
 /// the golden corpus pins this byte for byte, and the parallel-identity
-/// harness requires it invariant across worker counts and pipeline depths.
+/// harness requires it invariant across worker counts.
 /// Call after flush().
 [[nodiscard]] std::string render_provenance_transcript(
     const SlidingMonitor& monitor);

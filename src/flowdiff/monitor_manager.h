@@ -36,10 +36,10 @@
 //
 // With ManagerConfig::workers == 0 the executor runs tasks inline on the
 // feeding thread — every feed() is processed before it returns, fully
-// deterministic, and the mode the demux golden tests pin. Shard-internal
-// model building inherits the shard options' own workers knob; a
-// parallel_for issued from inside a manager worker task degrades to serial
-// inline (see util/executor.h), so nesting cannot deadlock.
+// deterministic, and the mode the demux golden tests pin. This pool is the
+// only one in the monitoring path: a shard models, diffs, and commits each
+// window on whichever thread feeds it (see SlidingMonitor), and its model
+// builds run serially there.
 #pragma once
 
 #include <condition_variable>
@@ -82,11 +82,9 @@ struct ShardStatus {
 
 struct ManagerConfig {
   /// Shard option template: every tenant's monitor is built from this.
-  /// `workers` here sizes the *manager's* cross-tenant pool; the shards
-  /// themselves run their models serially (their options' workers knob is
-  /// forced to 0) because cross-tenant parallelism already saturates the
-  /// pool and nested parallel_for degrades to inline anyway.
   MonitorOptions options;
+  /// Size of the cross-tenant pool that feeds the shards (0 = inline on
+  /// the feeding thread).
   int workers = 0;
   /// Test seam: runs inside the shard task for every event, before the
   /// monitor sees it. An exception thrown here exercises the same fault

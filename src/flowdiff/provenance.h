@@ -16,11 +16,11 @@
 //     suppression / confidence verdict the monitor reached;
 //   * a detection-latency breakdown over the monitor's stage clock edges:
 //     newest-event arrival -> window close (sanitizer residence included)
-//     -> pipeline dequeue -> model build -> diff -> alarm decision.
+//     -> modeling start -> model build -> diff -> alarm decision.
 //
 // Everything except the latency breakdown is a pure function of the
-// DiffReport, so records are bit-identical across worker counts and
-// pipeline depths (parallel_model_test pins this); the wall-clock latency
+// DiffReport, so records are bit-identical across worker counts
+// (parallel_model_test pins this); the wall-clock latency
 // fields are excluded from the deterministic transcript the same way
 // WindowAudit::wall_ms is excluded from render_monitor_transcript.
 #pragma once
@@ -66,8 +66,8 @@ struct StageLatency {
                            ///< (sanitizer reorder-buffer residence
                            ///< included: with a sanitizer the close fires
                            ///< only once the watermark releases the event).
-  double queue_ms = 0.0;   ///< Window close -> process start (pipeline
-                           ///< backlog wait; ~0 in synchronous mode).
+  double queue_ms = 0.0;   ///< Window close -> modeling start (~0: the
+                           ///< thread that closes a window models it).
   double model_ms = 0.0;   ///< core::Modeler build of the window model.
   double diff_ms = 0.0;    ///< diff + validate + diagnose (FlowDiff::diff).
   double decide_ms = 0.0;  ///< Diff end -> verdict committed.

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "experiment/lab_experiment.h"
 #include "flowdiff/model.h"
 #include "flowdiff/monitor.h"
 #include "openflow/control_log.h"
@@ -260,14 +262,15 @@ TEST(IncrementalModel, ResetClearsEverything) {
 /// path on vs. off — the off mode forces every window through the
 /// from-scratch oracle, so equality here is end-to-end bit-identity.
 std::string monitor_transcripts(const std::vector<of::ControlEvent>& events,
-                                bool incremental, std::size_t pipeline_depth,
-                                bool sanitize) {
+                                bool incremental, bool sanitize,
+                                SimDuration window = kSecond,
+                                const FlowDiffConfig& flowdiff = {}) {
   MonitorConfig config;
-  config.window = kSecond;
+  config.flowdiff = flowdiff;
+  config.window = window;
   config.rolling_baseline = true;
   config.sample_metrics = false;
   config.incremental = incremental;
-  config.pipeline_depth = pipeline_depth;
   config.sanitize = sanitize;
   SlidingMonitor monitor(config);
   monitor.feed(events);
@@ -278,12 +281,43 @@ std::string monitor_transcripts(const std::vector<of::ControlEvent>& events,
 
 TEST(IncrementalModel, MonitorMatchesOracleModeAcrossDepths) {
   const auto events = random_stream(21, 8 * kSecond);
-  const std::string oracle =
-      monitor_transcripts(events, false, 0, false);
+  const std::string oracle = monitor_transcripts(events, false, false);
   ASSERT_FALSE(oracle.empty());
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
-    EXPECT_EQ(monitor_transcripts(events, true, depth, false), oracle)
-        << "pipeline_depth=" << depth;
+  EXPECT_EQ(monitor_transcripts(events, true, false), oracle);
+}
+
+TEST(IncrementalModel, IdleBusyAlternationMatchesOracleMode) {
+  // A monitor clears its window log and incremental state in place after
+  // every busy window and skips idle ones untouched. Stretching the lab
+  // stream so that only every other window holds events makes each busy
+  // window follow an idle one: stale state surviving the clear, or an idle
+  // window disturbing it, would show as a transcript diverging from the
+  // from-scratch oracle.
+  exp::LabExperiment lab{exp::LabExperimentConfig{}};
+  const of::ControlLog log = lab.run_window();
+  ASSERT_FALSE(log.empty());
+  const SimDuration window = 5 * kSecond;
+  // An event in window w (counted from the first event, where the
+  // monitor's first window opens) moves to window 2w.
+  const SimTime start = log.begin_time();
+  std::vector<of::ControlEvent> stretched;
+  stretched.reserve(log.size());
+  std::set<SimTime> busy;
+  for (const auto& event : log.events()) {
+    const SimTime w = (event.ts - start) / window;
+    stretched.push_back(event);
+    stretched.back().ts = event.ts + w * window;
+    busy.insert(2 * w);
+  }
+  ASSERT_GE(busy.size(), 3u) << "stretch produced too few busy windows";
+
+  for (const bool sanitize : {false, true}) {
+    const std::string oracle = monitor_transcripts(
+        stretched, false, sanitize, window, lab.flowdiff_config());
+    EXPECT_EQ(monitor_transcripts(stretched, true, sanitize, window,
+                                  lab.flowdiff_config()),
+              oracle)
+        << "sanitize=" << sanitize;
   }
 }
 
@@ -306,12 +340,9 @@ TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
     }
     if (rng.bernoulli(0.05)) arrivals.push_back(events[i]);  // Duplicate.
   }
-  const std::string oracle = monitor_transcripts(arrivals, false, 0, true);
+  const std::string oracle = monitor_transcripts(arrivals, false, true);
   ASSERT_FALSE(oracle.empty());
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
-    EXPECT_EQ(monitor_transcripts(arrivals, true, depth, true), oracle)
-        << "pipeline_depth=" << depth;
-  }
+  EXPECT_EQ(monitor_transcripts(arrivals, true, true), oracle);
 }
 
 }  // namespace

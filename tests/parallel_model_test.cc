@@ -1,13 +1,12 @@
 // Determinism of the parallel modeling engine: the Fig. 13 multi-app
 // workload modeled with 0, 1, 2, and 8 workers must produce bit-identical
 // behavior models (observed through DiffReport::render(), which serializes
-// every signature difference), and the pipelined monitor must emit the
-// same alarm/audit sequence as the synchronous one.
+// every signature difference), and a monitor must emit the same
+// alarm/audit/provenance sequence at any worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,73 +68,65 @@ TEST(ParallelModel, RepeatedParallelBuildsAreStable) {
   EXPECT_EQ(render_diff_with_workers(8), first);
 }
 
-/// One alarm/audit transcript of a monitor run, for sequence comparison.
 /// `incremental = false` forces every window through the from-scratch
 /// model build (the oracle mode the identity tests compare against).
-std::vector<std::string> monitor_transcript(std::size_t pipeline_depth,
-                                            int workers,
-                                            bool sanitize = false,
-                                            bool incremental = true) {
+MonitorConfig scenario_monitor_config(int workers, bool sanitize = false,
+                                      bool incremental = true) {
   MonitorConfig config;
   config.flowdiff.parallelism = workers;
   config.window = kSecond;
   config.rolling_baseline = true;
-  config.pipeline_depth = pipeline_depth;
   config.sample_metrics = false;
   config.sanitize = sanitize;
   config.incremental = incremental;
-  auto monitor = std::make_unique<SlidingMonitor>(config);
-  monitor->feed(scenario().current);
-  monitor->flush();
+  return config;
+}
 
+/// One alarm/audit transcript of a finished monitor, for sequence
+/// comparison.
+std::vector<std::string> transcript_of(const SlidingMonitor& monitor) {
   std::vector<std::string> transcript;
-  for (const auto& audit : monitor->audits()) {
+  for (const auto& audit : monitor.audits()) {
     transcript.push_back(std::to_string(audit.index) + "|" +
                          std::to_string(audit.alarmed) + "|" +
                          std::to_string(audit.rebaselined) + "|" +
                          audit.decision);
   }
-  for (const auto& alarm : monitor->alarms()) {
+  for (const auto& alarm : monitor.alarms()) {
     transcript.push_back("alarm@" + std::to_string(alarm.window_begin) +
                          "\n" + alarm.report.render());
   }
   // Provenance records are part of the determinism contract too: same
-  // ids, contributors, scores, and verdicts at any worker count or
-  // pipeline depth (stage latencies are wall-clock, so the transcript
-  // renderer omits them).
-  transcript.push_back(render_provenance_transcript(*monitor));
+  // ids, contributors, scores, and verdicts at any worker count (stage
+  // latencies are wall-clock, so the transcript renderer omits them).
+  transcript.push_back(render_provenance_transcript(monitor));
   return transcript;
 }
 
-TEST(ParallelModel, PipelinedMonitorMatchesSynchronousSequence) {
-  const std::vector<std::string> sync = monitor_transcript(0, 0);
-  ASSERT_FALSE(sync.empty());
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
-    for (const int workers : {0, 2}) {
-      EXPECT_EQ(monitor_transcript(depth, workers), sync)
-          << "pipeline_depth=" << depth << " workers=" << workers;
-    }
-  }
+std::vector<std::string> monitor_transcript(int workers,
+                                            bool sanitize = false,
+                                            bool incremental = true) {
+  SlidingMonitor monitor(
+      scenario_monitor_config(workers, sanitize, incremental));
+  monitor.feed(scenario().current);
+  monitor.flush();
+  return transcript_of(monitor);
 }
 
 TEST(ParallelModel, IncrementalMatchesFromScratchOracle) {
   // The incremental-vs-oracle identity contract, end to end: delta-
   // maintained window modeling must reproduce the from-scratch build's
   // DiffReports, audits, and provenance byte for byte at every worker
-  // count and pipeline depth, with and without the ingest sanitizer.
+  // count, with and without the ingest sanitizer.
   const std::vector<std::string> oracle =
-      monitor_transcript(0, 0, /*sanitize=*/false, /*incremental=*/false);
+      monitor_transcript(0, /*sanitize=*/false, /*incremental=*/false);
   ASSERT_FALSE(oracle.empty());
   for (const bool sanitize : {false, true}) {
-    for (const std::size_t depth : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{4}}) {
-      for (const int workers : {0, 2}) {
-        EXPECT_EQ(monitor_transcript(depth, workers, sanitize,
-                                     /*incremental=*/true),
-                  oracle)
-            << "incremental diverged from oracle at pipeline_depth=" << depth
-            << " workers=" << workers << " sanitize=" << sanitize;
-      }
+    for (const int workers : {0, 2}) {
+      EXPECT_EQ(monitor_transcript(workers, sanitize, /*incremental=*/true),
+                oracle)
+          << "incremental diverged from oracle at workers=" << workers
+          << " sanitize=" << sanitize;
     }
   }
 }
@@ -143,91 +134,65 @@ TEST(ParallelModel, IncrementalMatchesFromScratchOracle) {
 TEST(ParallelModel, SanitizerOnCleanStreamIsInvariant) {
   // Clean-log invariance: routing an uncorrupted capture through the
   // ingest sanitizer must not change a single byte of any alarm, audit, or
-  // report, at any worker count or pipeline depth.
-  const std::vector<std::string> plain = monitor_transcript(0, 0, false);
+  // report, at any worker count.
+  const std::vector<std::string> plain = monitor_transcript(0, false);
   ASSERT_FALSE(plain.empty());
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{4}}) {
-    for (const int workers : {0, 2, 8}) {
-      EXPECT_EQ(monitor_transcript(depth, workers, true), plain)
-          << "sanitize=on pipeline_depth=" << depth
-          << " workers=" << workers;
-    }
+  for (const int workers : {0, 2, 8}) {
+    EXPECT_EQ(monitor_transcript(workers, true), plain)
+        << "sanitize=on workers=" << workers;
   }
 }
 
 TEST(ParallelModel, ScrapeUnderLoadKeepsTranscriptIdentical) {
   // The telemetry plane's contract: a scraper hammering every endpoint
   // while windows commit must never perturb (or tear) the results — the
-  // transcript stays bit-identical to an unobserved run at every pipeline
-  // depth and worker count.
-  const std::vector<std::string> plain = monitor_transcript(0, 0);
+  // transcript stays bit-identical to an unobserved run at every worker
+  // count.
+  const std::vector<std::string> plain = monitor_transcript(0);
   ASSERT_FALSE(plain.empty());
 
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
-    for (const int workers : {0, 2}) {
-      MonitorConfig config;
-      config.flowdiff.parallelism = workers;
-      config.window = kSecond;
-      config.rolling_baseline = true;
-      config.pipeline_depth = depth;
-      config.sample_metrics = false;
-      auto monitor = std::make_unique<SlidingMonitor>(config);
+  for (const int workers : {0, 2}) {
+    SlidingMonitor monitor(scenario_monitor_config(workers));
 
-      TelemetryPlane plane;
-      plane.attach(monitor.get());
-      ASSERT_TRUE(plane.start()) << plane.last_error();
-      std::atomic<bool> stop{false};
-      std::atomic<int> scrapes{0};
-      std::thread scraper([&] {
-        const char* targets[] = {"/metrics", "/healthz", "/audits",
-                                 "/report", "/provenance"};
-        std::size_t i = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const auto result = flowdiff::testing::http_get(
-              plane.port(), targets[i++ % 5]);
-          if (result) scrapes.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+    TelemetryPlane plane;
+    plane.attach(&monitor);
+    ASSERT_TRUE(plane.start()) << plane.last_error();
+    std::atomic<bool> stop{false};
+    std::atomic<int> scrapes{0};
+    std::thread scraper([&] {
+      const char* targets[] = {"/metrics", "/healthz", "/audits", "/report",
+                               "/provenance"};
+      std::size_t i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto result =
+            flowdiff::testing::http_get(plane.port(), targets[i++ % 5]);
+        if (result) scrapes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
 
-      // Two slices with a completed scrape between them, so at least one
-      // request provably lands while windows are committing: on a loaded
-      // host a single feed could finish before the scraper's first
-      // request. The deadline only matters if the plane never answers.
-      const auto& events = scenario().current.events();
-      const auto half =
-          events.begin() + static_cast<std::ptrdiff_t>(events.size() / 2);
-      monitor->feed(std::vector<of::ControlEvent>(events.begin(), half));
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(60);
-      while (scrapes.load() == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      monitor->feed(std::vector<of::ControlEvent>(half, events.end()));
-      monitor->flush();
-      stop.store(true, std::memory_order_relaxed);
-      scraper.join();
-      plane.stop();
-      EXPECT_GT(scrapes.load(), 0)
-          << "scraper never completed a request; the test lost its point";
-
-      std::vector<std::string> transcript;
-      for (const auto& audit : monitor->audits()) {
-        transcript.push_back(std::to_string(audit.index) + "|" +
-                             std::to_string(audit.alarmed) + "|" +
-                             std::to_string(audit.rebaselined) + "|" +
-                             audit.decision);
-      }
-      for (const auto& alarm : monitor->alarms()) {
-        transcript.push_back("alarm@" + std::to_string(alarm.window_begin) +
-                             "\n" + alarm.report.render());
-      }
-      transcript.push_back(render_provenance_transcript(*monitor));
-      EXPECT_EQ(transcript, plain)
-          << "pipeline_depth=" << depth << " workers=" << workers
-          << " diverged under scrape load";
+    // Two slices with a completed scrape between them, so at least one
+    // request provably lands while windows are committing: on a loaded
+    // host a single feed could finish before the scraper's first request.
+    // The deadline only matters if the plane never answers.
+    const auto& events = scenario().current.events();
+    const auto half =
+        events.begin() + static_cast<std::ptrdiff_t>(events.size() / 2);
+    monitor.feed(std::vector<of::ControlEvent>(events.begin(), half));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (scrapes.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
+    monitor.feed(std::vector<of::ControlEvent>(half, events.end()));
+    monitor.flush();
+    stop.store(true, std::memory_order_relaxed);
+    scraper.join();
+    plane.stop();
+    EXPECT_GT(scrapes.load(), 0)
+        << "scraper never completed a request; the test lost its point";
+    EXPECT_EQ(transcript_of(monitor), plain)
+        << "workers=" << workers << " diverged under scrape load";
   }
 }
 
@@ -235,12 +200,7 @@ TEST(ParallelModel, SanitizedTranscriptRenderIsInvariant) {
   // Same invariance through the corpus renderer (the exact text the
   // golden-trace corpus diffs byte for byte).
   const auto transcript = [](bool sanitize) {
-    MonitorConfig config;
-    config.window = kSecond;
-    config.rolling_baseline = true;
-    config.sample_metrics = false;
-    config.sanitize = sanitize;
-    SlidingMonitor monitor(config);
+    SlidingMonitor monitor(scenario_monitor_config(0, sanitize));
     monitor.feed(scenario().current);
     monitor.flush();
     return render_monitor_transcript(monitor);

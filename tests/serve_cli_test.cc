@@ -126,6 +126,17 @@ struct Child {
   }
 };
 
+/// In a forked child: execs `flowdiff <args>`; never returns.
+[[noreturn]] void exec_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "flowdiff");
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (auto& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  ::execv(FLOWDIFF_CLI_PATH, argv.data());
+  _exit(127);
+}
+
 /// fork/execs `flowdiff serve <args>` with stdout piped back (non-blocking
 /// so wait_for_line can poll).
 Child spawn_serve(const std::vector<std::string>& args) {
@@ -138,16 +149,9 @@ Child spawn_serve(const std::vector<std::string>& args) {
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
-    std::vector<char*> argv;
-    std::vector<std::string> strings;
-    strings.emplace_back("flowdiff");
-    strings.emplace_back("serve");
-    for (const auto& arg : args) strings.push_back(arg);
-    argv.reserve(strings.size() + 1);
-    for (auto& s : strings) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    ::execv(FLOWDIFF_CLI_PATH, argv.data());
-    _exit(127);
+    std::vector<std::string> serve_args{"serve"};
+    serve_args.insert(serve_args.end(), args.begin(), args.end());
+    exec_cli(std::move(serve_args));
   }
   ::close(out_pipe[1]);
   child.pid = pid;
@@ -155,6 +159,41 @@ Child spawn_serve(const std::vector<std::string>& args) {
   // Non-blocking stdout: wait_for_line polls.
   ::fcntl(child.out_fd, F_SETFL, O_NONBLOCK);
   return child;
+}
+
+struct CliRun {
+  int exit_code = -1;
+  std::string err;  ///< Everything the run wrote to stderr.
+};
+
+/// Runs `flowdiff <args>` to completion with stdout discarded and stderr
+/// captured.
+CliRun run_cli(const std::vector<std::string>& args) {
+  CliRun run;
+  int err_pipe[2];
+  if (::pipe(err_pipe) != 0) return run;
+  const pid_t pid = ::fork();
+  if (pid < 0) return run;
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    exec_cli(args);
+  }
+  ::close(err_pipe[1]);
+  char buf[512];
+  ssize_t n = 0;
+  while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0) {
+    run.err.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(err_pipe[0]);
+  int status = 0;
+  if (::waitpid(pid, &status, 0) == pid && WIFEXITED(status)) {
+    run.exit_code = WEXITSTATUS(status);
+  }
+  return run;
 }
 
 std::uint16_t parse_trailing_port(const std::string& line) {
@@ -315,6 +354,55 @@ TEST(ServeCli, RejectsIncoherentKnobsInsteadOfClamping) {
                              "--lateness", "20", "--sanitize"});
   ASSERT_GT(child.pid, 0);
   EXPECT_EQ(child.wait_exit(), 2);
+}
+
+TEST(CliFlags, WorkersMustBeANonNegativeInt) {
+  const std::string log = Corpus("steady").log_path.string();
+  for (const char* bad : {"abc", "-3", "99999999999"}) {
+    for (const std::string command : {"diff", "serve"}) {
+      std::vector<std::string> args{command};
+      if (command == "diff") {
+        args.insert(args.end(), {log, log});
+      } else {
+        args.insert(args.end(), {"--follow", log + "@t0"});
+      }
+      args.push_back(std::string("--workers=") + bad);
+      const CliRun run = run_cli(args);
+      EXPECT_EQ(run.exit_code, 2) << command << " --workers=" << bad;
+      EXPECT_NE(run.err.find("--workers"), std::string::npos)
+          << command << " --workers=" << bad << ": " << run.err;
+    }
+  }
+  // A valid count still parses: a self-diff is clean.
+  EXPECT_EQ(run_cli({"diff", log, log, "--workers=2"}).exit_code, 0);
+}
+
+TEST(CliFlags, MonitorAndReportNameUnknownFlags) {
+  // --incremental was a no-op alias of the default and is gone; any other
+  // leftover "--" argument is named the same way instead of falling
+  // through to a bare usage dump.
+  const std::string log = Corpus("steady").log_path.string();
+  for (const std::string command : {"monitor", "report"}) {
+    for (const char* flag : {"--incremental", "--no-such-knob"}) {
+      const CliRun run = run_cli({command, log, flag, "2"});
+      EXPECT_EQ(run.exit_code, 2) << command << " " << flag;
+      EXPECT_NE(run.err.find("unknown " + command + " argument: " + flag),
+                std::string::npos)
+          << run.err;
+    }
+  }
+}
+
+TEST(CliFlags, MonitorAndReportRejectPositiveWorkers) {
+  const std::string log = Corpus("steady").log_path.string();
+  for (const std::string command : {"monitor", "report"}) {
+    const CliRun run = run_cli({command, log, "--workers=4"});
+    EXPECT_EQ(run.exit_code, 2) << command;
+    EXPECT_NE(run.err.find("--workers applies to diff, summary, and serve "
+                           "only"),
+              std::string::npos)
+        << run.err;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "cli_args.h"
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -54,12 +56,14 @@ bool parse_double(const std::string& text, double* out) {
   return true;
 }
 
-bool parse_size(const std::string& text, std::size_t* out) {
-  if (text.empty() || text[0] == '-') return false;
+/// Digits only (no sign, no blanks), and the value must fit in an int.
+bool parse_count(const std::string& text, int* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || value > INT_MAX) return false;
+  *out = static_cast<int>(value);
   return true;
 }
 
@@ -74,7 +78,8 @@ int fail(const std::string& message) {
   return 2;
 }
 
-GlobalOptions extract_global_options(std::vector<std::string>& args) {
+std::optional<GlobalOptions> extract_global_options(
+    std::vector<std::string>& args, std::string* error) {
   GlobalOptions opts;
   bool explicit_stats = false;
   bool explicit_trace = false;
@@ -104,7 +109,11 @@ GlobalOptions extract_global_options(std::vector<std::string>& args) {
     } else if (flag_value(args, &i, "--artifacts", &value)) {
       opts.artifacts_dir = value;
     } else if (flag_value(args, &i, "--workers", &value)) {
-      opts.workers = std::stoi(value);
+      if (!parse_count(value, &opts.workers)) {
+        *error = "--workers needs a non-negative integer that fits in an "
+                 "int (got '" + value + "')";
+        return std::nullopt;
+      }
     } else {
       kept.push_back(arg);
     }
@@ -175,10 +184,8 @@ std::optional<of::ControlLog> load_log(const std::string& path) {
 }
 
 std::optional<MonitorFlags> parse_monitor_flags(
-    const std::vector<std::string>& args, const GlobalOptions& global,
-    std::string* error) {
+    const std::vector<std::string>& args, std::string* error) {
   MonitorFlags parsed;
-  parsed.options.workers = global.workers;
   std::string services_path;
   std::vector<std::string> task_paths;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -196,17 +203,8 @@ std::optional<MonitorFlags> parse_monitor_flags(
       parsed.options.window = from_seconds(seconds);
     } else if (args[i] == "--rolling") {
       parsed.options.rolling_baseline = true;
-    } else if (flag_value(args, &i, "--pipeline", &value)) {
-      std::size_t depth = 0;
-      if (!parse_size(value, &depth)) {
-        *error = "unparseable --pipeline value: " + value;
-        return std::nullopt;
-      }
-      parsed.options.pipeline_depth = depth;
     } else if (args[i] == "--sanitize") {
       parsed.options.sanitize = true;
-    } else if (args[i] == "--incremental") {
-      parsed.options.incremental = true;
     } else if (args[i] == "--no-incremental") {
       // Forces every window through the from-scratch model build — the
       // oracle mode, for A/B timing and identity checks.

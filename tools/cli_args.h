@@ -2,7 +2,7 @@
 //
 // Every subcommand used to hand-roll its own copies of the global flags
 // (--workers, --artifacts, --stats/--trace/--series) and the monitor knob
-// set (--window, --sanitize, --lateness, --pipeline, --listen, ...), and
+// set (--window, --sanitize, --lateness, --listen, ...), and
 // the copies drifted: `monitor` accepted --listen=ADDR while `report` only
 // took the two-token form, and inconsistent knob combinations were clamped
 // wherever each parser felt like it. This module is the single source of
@@ -37,7 +37,9 @@ struct GlobalOptions {
   std::string trace_path;     ///< empty => stderr
   std::string series_path;    ///< empty => stderr
   std::string artifacts_dir;  ///< empty => no artifact directory
-  int workers = 0;            ///< model-building worker threads
+  /// Worker threads: model building for diff/summary, the cross-tenant
+  /// pool for serve.
+  int workers = 0;
 };
 
 /// Strips the global flags wherever they appear (both --flag VALUE and
@@ -45,8 +47,10 @@ struct GlobalOptions {
 /// requested. --artifacts=DIR is sugar for --stats=DIR/stats.txt
 /// --trace=DIR/trace.json --series=DIR/series.csv (+ a default report
 /// path in monitor/report); explicit per-artifact flags win over the
-/// DIR-derived paths regardless of order.
-GlobalOptions extract_global_options(std::vector<std::string>& args);
+/// DIR-derived paths regardless of order. nullopt (with *error set) when
+/// --workers is not a non-negative integer that fits in an int.
+std::optional<GlobalOptions> extract_global_options(
+    std::vector<std::string>& args, std::string* error);
 
 /// Dumps the metrics registry / span tree / series after the subcommand
 /// ran, per the global flags. Failures here degrade the exit code only if
@@ -69,15 +73,13 @@ struct MonitorFlags {
   std::vector<std::string> rest;
 };
 
-/// Parses the shared monitor knobs — --window SEC, --rolling, --pipeline
-/// DEPTH, --sanitize, --lateness SEC (implies --sanitize), --listen
-/// ADDR:PORT, --services FILE, --task FILE — into a MonitorOptions seeded
-/// with the global --workers count, then runs MonitorOptions::validate().
-/// nullopt (with *error set) on unreadable files, unparseable values, or a
-/// rejected combination.
+/// Parses the shared monitor knobs — --window SEC, --rolling, --sanitize,
+/// --lateness SEC (implies --sanitize), --no-incremental, --listen
+/// ADDR:PORT, --services FILE, --task FILE — into a MonitorOptions, then
+/// runs MonitorOptions::validate(). nullopt (with *error set) on
+/// unreadable files, unparseable values, or a rejected combination.
 std::optional<MonitorFlags> parse_monitor_flags(
-    const std::vector<std::string>& args, const GlobalOptions& global,
-    std::string* error);
+    const std::vector<std::string>& args, std::string* error);
 
 // --- graceful shutdown + telemetry plane (--listen / serve) ----------------
 

@@ -18,15 +18,17 @@
 // hold FLOW lines; automata use TaskAutomaton::serialize(). A services
 // file lists special-purpose node IPs, one per line.
 //
-// Every subcommand accepts the global flags --workers=N (worker threads
-// for model building; results are bit-identical at any count) and
-// --artifacts=DIR, which collects every run artifact under one directory:
-// stats.txt, trace.json, series.csv and (monitor/report) report.md. The
-// older per-artifact flags --stats[=FILE], --trace[=FILE] and
-// --series[=FILE] remain as aliases and override the corresponding
-// artifacts path; `flowdiff help` documents the mapping. monitor/report
-// runs with an artifacts directory also write DIR/provenance.json — the
-// alarm provenance records `flowdiff explain` reads back.
+// Every subcommand accepts the global flag --artifacts=DIR, which collects
+// every run artifact under one directory: stats.txt, trace.json,
+// series.csv and (monitor/report) report.md. The older per-artifact flags
+// --stats[=FILE], --trace[=FILE] and --series[=FILE] remain as aliases and
+// override the corresponding artifacts path; `flowdiff help` documents
+// the mapping. monitor/report runs with an artifacts directory also write
+// DIR/provenance.json — the alarm provenance records `flowdiff explain`
+// reads back. The global --workers=N sizes the model-building pool of
+// diff/summary (results are bit-identical at any count) and serve's
+// cross-tenant pool; monitor and report reject N > 0, since a monitor
+// models each window on the thread that feeds it.
 //
 // Flag parsing for the global set and the shared monitor knob set lives in
 // cli_args.h — one parser, one validation pass (MonitorOptions::validate),
@@ -72,11 +74,11 @@ void print_help(std::FILE* out) {
       "  flowdiff detect <automaton>... --in <capture.flows> "
       "[--services FILE]\n"
       "  flowdiff monitor <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--pipeline DEPTH] [--sanitize] "
-      "[--lateness SEC] [--listen ADDR:PORT] [--report FILE]\n"
+      "[--task FILE]... [--rolling] [--sanitize] [--lateness SEC] "
+      "[--no-incremental] [--listen ADDR:PORT] [--report FILE]\n"
       "  flowdiff report <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--pipeline DEPTH] [--sanitize] "
-      "[--lateness SEC] [--listen ADDR:PORT] [--out FILE] [--html]\n"
+      "[--task FILE]... [--rolling] [--sanitize] [--lateness SEC] "
+      "[--no-incremental] [--listen ADDR:PORT] [--out FILE] [--html]\n"
       "  flowdiff serve (--follow FILE[@TENANT] | --socket "
       "ADDR:PORT[@TENANT] | --unix PATH[@TENANT])... [monitor knobs] "
       "[--by-controller] [--listen ADDR:PORT] [--transcripts DIR]\n"
@@ -84,9 +86,15 @@ void print_help(std::FILE* out) {
       "ADDR:PORT)\n"
       "  flowdiff help [serve]\n"
       "global flags (any subcommand):\n"
-      "  --workers=N      worker threads for model building (default 0 = "
-      "serial\n"
-      "                   inline; any N produces bit-identical models)\n"
+      "  --workers=N      worker threads (default 0 = serial inline): "
+      "diff and\n"
+      "                   summary build models on N threads (any N "
+      "produces\n"
+      "                   bit-identical models); serve feeds tenant "
+      "shards on\n"
+      "                   N threads. monitor and report reject N > 0: a\n"
+      "                   monitor models each window on the thread that "
+      "feeds it\n"
       "  --artifacts=DIR  write every run artifact into DIR (created if "
       "missing):\n"
       "                     DIR/stats.txt   metrics registry "
@@ -115,11 +123,6 @@ void print_help(std::FILE* out) {
       "monitor/report/serve knobs (parsed identically everywhere):\n"
       "  --window SECONDS window length (default 30)\n"
       "  --rolling        roll the baseline forward on clean windows\n"
-      "  --pipeline DEPTH overlap window modeling with ingest on a "
-      "pipeline\n"
-      "                   thread; DEPTH bounds the backlog (0 = "
-      "synchronous).\n"
-      "                   Alarms and audits are identical either way.\n"
       "  --sanitize       run ingest through the stream sanitizer: raw "
       "arrival\n"
       "                   order in, duplicates and truncated records "
@@ -214,7 +217,7 @@ void print_serve_help(std::FILE* out) {
       "identical\n"
       "                             to `flowdiff monitor` on the same "
       "log)\n"
-      "monitor knobs: --window --rolling --pipeline --sanitize --lateness "
+      "monitor knobs: --window --rolling --sanitize --lateness "
       "--no-incremental\n"
       "  --services --task (see `flowdiff help`); each shard gets the "
       "same\n"
@@ -447,10 +450,18 @@ struct MonitorCliArgs {
   bool html = false;        ///< report --html (or --report *.html)
 };
 
+/// nullopt after printing why (usage on a wrong operand count), so callers
+/// just return 2.
 std::optional<MonitorCliArgs> parse_monitor_args(
     const std::vector<std::string>& args, bool report_mode) {
+  const std::string command = report_mode ? "report" : "monitor";
+  if (g_opts.workers > 0) {
+    fail("--workers applies to diff, summary, and serve only: " + command +
+         " models each window on the thread that feeds it");
+    return std::nullopt;
+  }
   std::string error;
-  const auto shared = cli::parse_monitor_flags(args, g_opts, &error);
+  const auto shared = cli::parse_monitor_flags(args, &error);
   if (!shared) {
     fail(error);
     return std::nullopt;
@@ -466,11 +477,17 @@ std::optional<MonitorCliArgs> parse_monitor_args(
       parsed.out_path = rest[++i];
     } else if (report_mode && rest[i] == "--html") {
       parsed.html = true;
+    } else if (rest[i].rfind("--", 0) == 0) {
+      fail("unknown " + command + " argument: " + rest[i]);
+      return std::nullopt;
     } else {
       positional.push_back(rest[i]);
     }
   }
-  if (positional.size() != 1) return std::nullopt;
+  if (positional.size() != 1) {
+    usage();
+    return std::nullopt;
+  }
   parsed.log_path = positional[0];
   // --artifacts=DIR supplies the default report destination; an explicit
   // --report/--out still wins.
@@ -545,7 +562,7 @@ int write_provenance_artifact(const core::SlidingMonitor& monitor) {
 
 int cmd_monitor(std::vector<std::string> args) {
   const auto parsed = parse_monitor_args(args, /*report_mode=*/false);
-  if (!parsed) return usage();
+  if (!parsed) return 2;
   // The report joins sampled series and flight-recorder events; without
   // the obs layer there would be nothing to join. The telemetry plane
   // serves the same stack, so --listen implies it too.
@@ -636,7 +653,7 @@ int cmd_monitor(std::vector<std::string> args) {
 
 int cmd_report(std::vector<std::string> args) {
   const auto parsed = parse_monitor_args(args, /*report_mode=*/true);
-  if (!parsed) return usage();
+  if (!parsed) return 2;
   // The report exists to explain a run after the fact, so the telemetry
   // that feeds it is always on here, and a crash mid-run still leaves the
   // flight-recorder tail on stderr.
@@ -709,7 +726,7 @@ ServeSourceSpec split_source(ServeSourceSpec::Kind kind,
 std::optional<ServeCliArgs> parse_serve_args(
     const std::vector<std::string>& args) {
   std::string error;
-  const auto shared = cli::parse_monitor_flags(args, g_opts, &error);
+  const auto shared = cli::parse_monitor_flags(args, &error);
   if (!shared) {
     fail(error);
     return std::nullopt;
@@ -1049,8 +1066,10 @@ int main(int argc, char** argv) {
   // explain parses --artifacts itself (it reads that directory; the global
   // flag would make dump_observability() overwrite its contents).
   if (command == "explain") return cmd_explain(args);
-  const flowdiff::cli::GlobalOptions obs_opts =
-      flowdiff::cli::extract_global_options(args);
+  std::string error;
+  const auto global = flowdiff::cli::extract_global_options(args, &error);
+  if (!global) return fail(error);
+  const flowdiff::cli::GlobalOptions& obs_opts = *global;
   g_opts = obs_opts;
   if (!obs_opts.artifacts_dir.empty()) {
     std::error_code ec;
