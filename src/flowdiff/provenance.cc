@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
 
+#include "util/json.h"
 #include "util/table.h"
 #include "util/time.h"
 
@@ -42,33 +44,6 @@ std::string num(double v) {
     }
   }
   return best;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 std::optional<SignatureKind> kind_from_string(std::string_view name) {
@@ -212,6 +187,20 @@ struct Parser {
           case 't':
             c = '\t';
             break;
+          case 'u': {
+            // json_escape writes the other control bytes as \u00XX.
+            const char* first = s.data() + pos;
+            const char* last =
+                first + std::min<std::size_t>(4, s.size() - pos);
+            unsigned code = 0;
+            const auto [end, ec] = std::from_chars(first, last, code, 16);
+            if (ec != std::errc{} || end != first + 4 || code > 0x7f) {
+              return std::nullopt;
+            }
+            pos += 4;
+            c = static_cast<char>(code);
+            break;
+          }
           default:
             c = esc;  // \" and \\ (and anything else, verbatim).
         }

@@ -1,6 +1,5 @@
 #include "flowdiff/telemetry.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -9,44 +8,12 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeseries.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace flowdiff::core {
 
 namespace {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// CSV cell quoting: always quoted, inner quotes doubled — the quality and
 /// decision columns contain commas and percent signs.
@@ -119,6 +86,23 @@ bool parse_time_bound(const std::optional<std::string>& raw, double* out) {
   return true;
 }
 
+/// The ?from=/?to= window of a range query, unbounded where absent; a 400
+/// response when a present bound does not parse.
+std::optional<obs::HttpResponse> parse_range(const obs::HttpRequest& request,
+                                             double* from, double* to) {
+  *from = -std::numeric_limits<double>::infinity();
+  *to = std::numeric_limits<double>::infinity();
+  if (!parse_time_bound(request.param("from"), from)) {
+    return json_error(400, "unparseable from bound: " +
+                               request.param("from").value_or(""));
+  }
+  if (!parse_time_bound(request.param("to"), to)) {
+    return json_error(400, "unparseable to bound: " +
+                               request.param("to").value_or(""));
+  }
+  return std::nullopt;
+}
+
 /// Same contract for unsigned integer parameters (?id=, ?limit=).
 bool parse_u64_param(const std::optional<std::string>& raw,
                      std::uint64_t* out) {
@@ -129,6 +113,106 @@ bool parse_u64_param(const std::optional<std::string>& raw,
   if (end == nullptr || *end != '\0') return false;
   *out = value;
   return true;
+}
+
+// --- Monitor endpoints ------------------------------------------------------
+// One function per endpoint, called by the root route over the attached
+// monitor and by the /tenants/<id>/ route over that tenant's shard, so both
+// accept the same query parameters and return the same errors.
+
+/// /healthz: 200 while healthy, 503 once degraded.
+obs::HttpResponse healthz_response(const MonitorHealth& health) {
+  obs::HttpResponse response;
+  response.status = health.healthy ? 200 : 503;
+  response.content_type = "application/json";
+  response.body = render_health_json(health);
+  return response;
+}
+
+/// /audits: ?format=csv|json, ?from=/?to= seconds keep the audits whose
+/// window overlaps [from, to].
+obs::HttpResponse audits_response(MonitorSnapshot snap,
+                                  const obs::HttpRequest& request) {
+  const std::string format = request.param("format").value_or("csv");
+  double from = 0.0;
+  double to = 0.0;
+  if (auto error = parse_range(request, &from, &to)) return *error;
+  if (request.param("from").has_value() || request.param("to").has_value()) {
+    std::vector<WindowAudit> kept;
+    for (WindowAudit& audit : snap.audits) {
+      if (to_seconds(audit.window_end) >= from &&
+          to_seconds(audit.window_begin) <= to) {
+        kept.push_back(std::move(audit));
+      }
+    }
+    snap.audits = std::move(kept);
+  }
+  obs::HttpResponse response;
+  if (format == "json") {
+    response.content_type = "application/json";
+    response.body = render_audits_json(snap);
+  } else if (format == "csv") {
+    response.content_type = "text/csv; charset=utf-8";
+    response.body = render_audits_csv(snap);
+  } else {
+    return text_response(400, "unknown format: " + format + "\n");
+  }
+  return response;
+}
+
+/// /provenance: ?id=N answers one record (404 when unknown or rotated
+/// out); otherwise the collection, ?limit=N keeping the newest N.
+obs::HttpResponse provenance_response(MonitorSnapshot snap,
+                                      const obs::HttpRequest& request) {
+  obs::HttpResponse response;
+  response.content_type = "application/json";
+  if (request.param("id").has_value()) {
+    std::uint64_t id = 0;
+    if (!parse_u64_param(request.param("id"), &id)) {
+      return json_error(400, "unparseable id: " +
+                                 request.param("id").value_or(""));
+    }
+    for (const ProvenanceRecord& record : snap.provenance) {
+      if (record.id == id) {
+        response.body = render_provenance_json(record) + "\n";
+        return response;
+      }
+    }
+    return json_error(404, "no provenance record with id " +
+                               std::to_string(id) +
+                               " (unknown or rotated out)");
+  }
+  std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+  if (!parse_u64_param(request.param("limit"), &limit)) {
+    return json_error(400, "unparseable limit: " +
+                               request.param("limit").value_or(""));
+  }
+  if (limit < snap.provenance.size()) {
+    // Newest N: the ring is oldest-first.
+    snap.provenance.erase(
+        snap.provenance.begin(),
+        snap.provenance.end() - static_cast<std::ptrdiff_t>(limit));
+  }
+  response.body = render_provenance_collection_json(snap.provenance,
+                                                    snap.provenance_dropped);
+  return response;
+}
+
+/// /report: ?format=md|html.
+obs::HttpResponse report_response(const MonitorSnapshot& snap,
+                                  const obs::HttpRequest& request,
+                                  RunReportOptions options) {
+  const std::string format = request.param("format").value_or("md");
+  if (format != "md" && format != "html") {
+    return text_response(400, "unknown format: " + format + "\n");
+  }
+  options.html = format == "html";
+  obs::HttpResponse response;
+  response.content_type = options.html ? "text/html; charset=utf-8"
+                                       : "text/markdown; charset=utf-8";
+  response.body = render_run_report(snap, obs::Sampler::global(),
+                                    obs::FlightRecorder::global(), options);
+  return response;
 }
 
 }  // namespace
@@ -318,42 +402,29 @@ void TelemetryPlane::register_routes() {
   });
 
   server_.handle("/healthz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    const SlidingMonitor* m = monitor();
-    if (m != nullptr) {
-      const MonitorHealth health = m->health();
-      response.status = health.healthy ? 200 : 503;
-      response.body = render_health_json(health);
-      return response;
+    if (const SlidingMonitor* m = monitor()) {
+      return healthz_response(m->health());
     }
     if (const MonitorManager* mgr = manager()) {
       // Aggregate verdict: any shard degrading or faulting flips the
       // whole daemon's health check — a load balancer should stop
       // trusting a diagnoser that cannot vouch for every tenant.
-      const MonitorHealth health = mgr->aggregate_health();
-      response.status = health.healthy ? 200 : 503;
-      response.body = render_health_json(health);
-      return response;
+      return healthz_response(mgr->aggregate_health());
     }
     // A plane with nothing attached is alive but idle; report healthy so
-    // a scraper between replay stages sees liveness, not an outage.
+    // a scraper polling before the monitor starts sees liveness, not an
+    // outage.
+    obs::HttpResponse response;
+    response.content_type = "application/json";
     response.body = "{\"healthy\":true,\"monitor_attached\":false}\n";
     return response;
   });
 
   server_.handle("/series", [](const obs::HttpRequest& request) {
     const std::string format = request.param("format").value_or("csv");
-    double from = -std::numeric_limits<double>::infinity();
-    double to = std::numeric_limits<double>::infinity();
-    if (!parse_time_bound(request.param("from"), &from)) {
-      return json_error(400, "unparseable from bound: " +
-                                 request.param("from").value_or(""));
-    }
-    if (!parse_time_bound(request.param("to"), &to)) {
-      return json_error(400, "unparseable to bound: " +
-                                 request.param("to").value_or(""));
-    }
+    double from = 0.0;
+    double to = 0.0;
+    if (auto error = parse_range(request, &from, &to)) return *error;
     obs::HttpResponse response;
     if (format != "json" && format != "csv") {
       return text_response(400, "unknown format: " + format + "\n");
@@ -405,78 +476,13 @@ void TelemetryPlane::register_routes() {
   server_.handle("/audits", [this](const obs::HttpRequest& request) {
     const SlidingMonitor* m = monitor();
     if (m == nullptr) return no_monitor_response();
-    const std::string format = request.param("format").value_or("csv");
-    double from = -std::numeric_limits<double>::infinity();
-    double to = std::numeric_limits<double>::infinity();
-    if (!parse_time_bound(request.param("from"), &from)) {
-      return json_error(400, "unparseable from bound: " +
-                                 request.param("from").value_or(""));
-    }
-    if (!parse_time_bound(request.param("to"), &to)) {
-      return json_error(400, "unparseable to bound: " +
-                                 request.param("to").value_or(""));
-    }
-    MonitorSnapshot snap = m->snapshot();
-    if (request.param("from").has_value() ||
-        request.param("to").has_value()) {
-      // Keep audits whose window overlaps [from, to] seconds.
-      std::vector<WindowAudit> kept;
-      for (WindowAudit& audit : snap.audits) {
-        if (to_seconds(audit.window_end) >= from &&
-            to_seconds(audit.window_begin) <= to) {
-          kept.push_back(std::move(audit));
-        }
-      }
-      snap.audits = std::move(kept);
-    }
-    obs::HttpResponse response;
-    if (format == "json") {
-      response.content_type = "application/json";
-      response.body = render_audits_json(snap);
-    } else if (format == "csv") {
-      response.content_type = "text/csv; charset=utf-8";
-      response.body = render_audits_csv(snap);
-    } else {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    return response;
+    return audits_response(m->snapshot(), request);
   });
 
   server_.handle("/provenance", [this](const obs::HttpRequest& request) {
     const SlidingMonitor* m = monitor();
     if (m == nullptr) return no_monitor_response();
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    if (request.param("id").has_value()) {
-      std::uint64_t id = 0;
-      if (!parse_u64_param(request.param("id"), &id)) {
-        return json_error(400, "unparseable id: " +
-                                   request.param("id").value_or(""));
-      }
-      const auto record = m->find_provenance(id);
-      if (!record) {
-        return json_error(404, "no provenance record with id " +
-                                   std::to_string(id) +
-                                   " (unknown or rotated out)");
-      }
-      response.body = render_provenance_json(*record) + "\n";
-      return response;
-    }
-    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
-    if (!parse_u64_param(request.param("limit"), &limit)) {
-      return json_error(400, "unparseable limit: " +
-                                 request.param("limit").value_or(""));
-    }
-    MonitorSnapshot snap = m->snapshot();
-    if (limit < snap.provenance.size()) {
-      // Newest N: the ring is oldest-first.
-      snap.provenance.erase(snap.provenance.begin(),
-                            snap.provenance.end() -
-                                static_cast<std::ptrdiff_t>(limit));
-    }
-    response.body = render_provenance_collection_json(
-        snap.provenance, snap.provenance_dropped);
-    return response;
+    return provenance_response(m->snapshot(), request);
   });
 
   server_.handle("/tenants", [this](const obs::HttpRequest&) {
@@ -495,19 +501,7 @@ void TelemetryPlane::register_routes() {
   server_.handle("/report", [this](const obs::HttpRequest& request) {
     const SlidingMonitor* m = monitor();
     if (m == nullptr) return no_monitor_response();
-    const std::string format = request.param("format").value_or("md");
-    if (format != "md" && format != "html") {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    RunReportOptions options = config_.report;
-    options.html = format == "html";
-    obs::HttpResponse response;
-    response.content_type = options.html ? "text/html; charset=utf-8"
-                                         : "text/markdown; charset=utf-8";
-    response.body =
-        render_run_report(m->snapshot(), obs::Sampler::global(),
-                          obs::FlightRecorder::global(), options);
-    return response;
+    return report_response(m->snapshot(), request, config_.report);
   });
 }
 
@@ -540,12 +534,10 @@ obs::HttpResponse TelemetryPlane::handle_tenants(
   if (endpoint == "healthz") {
     const auto health = mgr->health(tenant);
     if (!health) return json_error(404, "unknown tenant: " + tenant);
-    response.status = health->healthy ? 200 : 503;
-    response.body = render_health_json(*health);
-    return response;
+    return healthz_response(*health);
   }
 
-  const auto snap = mgr->snapshot(tenant);
+  auto snap = mgr->snapshot(tenant);
   if (!snap) return json_error(404, "unknown tenant: " + tenant);
 
   if (endpoint == "series") {
@@ -560,51 +552,12 @@ obs::HttpResponse TelemetryPlane::handle_tenants(
     }
     return response;
   }
-  if (endpoint == "audits") {
-    const std::string format = request.param("format").value_or("csv");
-    if (format == "json") {
-      response.body = render_audits_json(*snap);
-    } else if (format == "csv") {
-      response.content_type = "text/csv; charset=utf-8";
-      response.body = render_audits_csv(*snap);
-    } else {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    return response;
-  }
+  if (endpoint == "audits") return audits_response(std::move(*snap), request);
   if (endpoint == "provenance") {
-    if (request.param("id").has_value()) {
-      std::uint64_t id = 0;
-      if (!parse_u64_param(request.param("id"), &id)) {
-        return json_error(400, "unparseable id: " +
-                                   request.param("id").value_or(""));
-      }
-      for (const ProvenanceRecord& record : snap->provenance) {
-        if (record.id == id) {
-          response.body = render_provenance_json(record) + "\n";
-          return response;
-        }
-      }
-      return json_error(404, "no provenance record with id " +
-                                 std::to_string(id) +
-                                 " (unknown or rotated out)");
-    }
-    response.body = render_provenance_collection_json(snap->provenance,
-                                                      snap->provenance_dropped);
-    return response;
+    return provenance_response(std::move(*snap), request);
   }
   if (endpoint == "report") {
-    const std::string format = request.param("format").value_or("md");
-    if (format != "md" && format != "html") {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    RunReportOptions options = config_.report;
-    options.html = format == "html";
-    response.content_type = options.html ? "text/html; charset=utf-8"
-                                         : "text/markdown; charset=utf-8";
-    response.body = render_run_report(*snap, obs::Sampler::global(),
-                                      obs::FlightRecorder::global(), options);
-    return response;
+    return report_response(*snap, request, config_.report);
   }
   if (endpoint == "transcript") {
     // The deterministic monitor transcript for this shard — what the demux

@@ -1,14 +1,18 @@
 // Live telemetry plane: the embedded HTTP endpoint over a running monitor.
 //
-// TelemetryPlane binds an obs::HttpServer and wires the six operational
+// TelemetryPlane binds an obs::HttpServer and wires the operational
 // endpoints — /metrics (Prometheus exposition), /healthz (health verdict),
 // /series (sampled time series), /recorder (flight-recorder excerpt),
-// /audits (per-window audit trail), /report (on-demand run report) — onto
-// the observability stack and an attached SlidingMonitor. Handlers run on
-// the server thread and read ONLY snapshot-style accessors that copy under
-// the producers' own locks (SlidingMonitor::snapshot()/health(),
-// Sampler::global(), FlightRecorder::global()), so a scrape arriving in the
-// middle of a window commit observes whole windows only.
+// /audits (per-window audit trail), /provenance (alarm provenance
+// records), /report (on-demand run report) — onto the observability stack
+// and an attached SlidingMonitor. The /tenants/<id>/... routes serve
+// healthz, audits, provenance and report per shard of an attached
+// MonitorManager through the same handlers, plus a per-shard series and
+// transcript. Handlers run on the server thread and read ONLY snapshot-style
+// accessors that copy under the producers' own locks
+// (SlidingMonitor::snapshot()/health(), Sampler::global(),
+// FlightRecorder::global()), so a scrape arriving in the middle of a window
+// commit observes whole windows only.
 //
 // The attached monitor is a raw pointer by design: a CLI run constructs the
 // plane before the monitor exists (so the listener is up for the whole
@@ -40,7 +44,7 @@ struct TelemetryConfig {
 
 /// The plane: construct, optionally attach() a monitor, start(). stop() is
 /// idempotent and run by the destructor. attach() may be called at any
-/// time, including while serving — replays swap monitors per stage.
+/// time, including while serving.
 class TelemetryPlane {
  public:
   explicit TelemetryPlane(TelemetryConfig config = {});

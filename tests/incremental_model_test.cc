@@ -4,7 +4,9 @@
 // IncrementalModeler finalizes that are bit-identical — via describe_model,
 // the lossless hexfloat dump — to a from-scratch Modeler::build over the
 // same window, after every window slide. Monitor-level runs must emit
-// byte-identical transcripts with the incremental path on and off.
+// byte-identical transcripts with the incremental path on and off, on
+// synthetic streams and on a corpus capture replayed through one rolling
+// monitor.
 #include "flowdiff/incremental_model.h"
 
 #include <gtest/gtest.h>
@@ -14,10 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "experiment/corpus.h"
 #include "experiment/lab_experiment.h"
 #include "flowdiff/model.h"
 #include "flowdiff/monitor.h"
 #include "openflow/control_log.h"
+#include "openflow/log_io.h"
 #include "util/rng.h"
 
 namespace flowdiff::core {
@@ -319,6 +323,35 @@ TEST(IncrementalModel, IdleBusyAlternationMatchesOracleMode) {
               oracle)
         << "sanitize=" << sanitize;
   }
+}
+
+TEST(IncrementalModel, SteadyCorpusRepeatMatchesOracleMode) {
+  // The long-lived steady state: steady.log replayed twice through one
+  // rolling monitor, the second copy shifted past the first copy's last
+  // window, so clean windows keep re-baselining across the seam.
+  const auto text =
+      of::read_file(std::string(FLOWDIFF_CORPUS_DIR) + "/steady.log");
+  ASSERT_TRUE(text.has_value()) << "missing steady.log in "
+                                << FLOWDIFF_CORPUS_DIR;
+  const auto corpus_case = exp::parse_corpus_case(*text);
+  ASSERT_TRUE(corpus_case.has_value());
+  const auto& events = corpus_case->events;
+  ASSERT_FALSE(events.empty());
+  const SimDuration window = corpus_case->config.window;
+  const SimTime span = events.back().ts - events.front().ts;
+  const SimTime shift = (span / window + 2) * window;
+  std::vector<of::ControlEvent> stream = events;
+  for (of::ControlEvent event : events) {
+    event.ts += shift;
+    stream.push_back(std::move(event));
+  }
+
+  const FlowDiffConfig& flowdiff = corpus_case->config.flowdiff;
+  const std::string oracle =
+      monitor_transcripts(stream, false, false, window, flowdiff);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_EQ(monitor_transcripts(stream, true, false, window, flowdiff),
+            oracle);
 }
 
 TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {

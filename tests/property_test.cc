@@ -5,6 +5,8 @@
 //  * a clean diff of a log against itself is empty for every Table II case.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "controller/controller.h"
 #include "flowdiff/flowdiff.h"
 #include "ingest/sanitizer.h"
@@ -95,6 +97,14 @@ struct MiningCase {
   bool masked;
   std::uint64_t seed;
 };
+
+/// Prints a case as p<profile>_<masked|plain>_s<seed>. Without a printer
+/// gtest dumps the struct's raw bytes, padding included, and
+/// gtest_discover_tests builds the ctest ids from that print, so the ids
+/// would change from build to build.
+void PrintTo(const MiningCase& c, std::ostream* os) {
+  *os << 'p' << c.profile << (c.masked ? "_masked_s" : "_plain_s") << c.seed;
+}
 
 class MiningPropertyTest : public ::testing::TestWithParam<MiningCase> {};
 

@@ -1,21 +1,25 @@
 // Alarm provenance plane: corpus-pinned golden transcripts, record
 // completeness (every diverging family carries ranked contributors and a
 // full stage-latency breakdown), JSON round-trips, provenance-ring bounds,
-// the /provenance endpoint, and both `flowdiff explain` paths (artifacts
-// on disk and a live telemetry plane) rendering the same record.
+// the root and per-tenant telemetry routes, and both `flowdiff explain`
+// paths (artifacts on disk and a live telemetry plane) rendering the same
+// record.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/corpus.h"
 #include "flowdiff/monitor.h"
+#include "flowdiff/monitor_manager.h"
 #include "flowdiff/provenance.h"
 #include "flowdiff/telemetry.h"
 #include "http_test_util.h"
@@ -115,6 +119,32 @@ TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
             json);
 }
 
+TEST(Provenance, JsonRoundTripsControlBytesInStrings) {
+  // The writer escapes every byte below 0x20; the parser must read each
+  // escape back, and no raw control byte may reach the JSON.
+  core::ProvenanceRecord record;
+  record.id = 7;
+  for (char c = 1; c < 0x20; ++c) record.verdict += c;
+  record.verdict += "\"quoted\" \\ end";
+  core::FamilyContribution family;
+  family.top.push_back(core::ProvenanceContributor{"app\x01\x1f host", 1.0,
+                                                   1.0});
+  record.families.push_back(family);
+
+  const std::string json = core::render_provenance_json(record);
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  const auto back = core::parse_provenance_json(json);
+  ASSERT_TRUE(back.has_value()) << json;
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ((*back)[0].verdict, record.verdict);
+  ASSERT_EQ((*back)[0].families.size(), 1u);
+  ASSERT_EQ((*back)[0].families[0].top.size(), 1u);
+  EXPECT_EQ((*back)[0].families[0].top[0].label, family.top[0].label);
+  EXPECT_EQ(core::render_provenance_json((*back)[0]), json);
+}
+
 TEST(Provenance, RingRotationDropsOldestRecords) {
   // corrupted_slowdown yields one suppressed-family record per degraded
   // window — several records, enough to exercise rotation.
@@ -186,6 +216,84 @@ TEST(Provenance, TelemetryPlaneServesRecordsAndErrors) {
   const auto limited_records = core::parse_provenance_json(limited->body);
   ASSERT_TRUE(limited_records.has_value());
   EXPECT_EQ(limited_records->size(), 1u);
+  plane.stop();
+}
+
+TEST(Provenance, TenantRoutesAnswerQueriesLikeRootRoutes) {
+  // The root routes read the attached monitor, /tenants/<id>/ reads a
+  // shard fed the same capture: every query must answer the same way on
+  // both, range and limit filters and 400s included.
+  const auto parsed = load_case("corrupted_slowdown");
+  ASSERT_TRUE(parsed.has_value());
+  core::SlidingMonitor monitor(parsed->config);
+  monitor.feed(parsed->events);
+  monitor.flush();
+  const core::MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_GE(snap.audits.size(), 3u);
+  ASSERT_GE(snap.provenance.size(), 2u);
+
+  core::ManagerConfig manager_config;
+  manager_config.options.window = parsed->config.window;
+  manager_config.options.rolling_baseline = parsed->config.rolling_baseline;
+  manager_config.options.sanitize = parsed->config.sanitize;
+  manager_config.options.lateness = parsed->config.ingest.lateness_horizon;
+  manager_config.options.services =
+      parsed->config.flowdiff.model.special_nodes;
+  core::MonitorManager manager(manager_config);
+  ASSERT_TRUE(manager.feed("t", parsed->events));
+  manager.stop_all();
+
+  core::TelemetryPlane plane;
+  plane.attach(&monitor);
+  plane.attach_manager(&manager);
+  ASSERT_TRUE(plane.start()) << plane.last_error();
+  const auto get_both = [&](const std::string& query) {
+    const auto root = testing::http_get(plane.port(), "/" + query);
+    const auto tenant =
+        testing::http_get(plane.port(), "/tenants/t/" + query);
+    EXPECT_TRUE(root.has_value() && tenant.has_value()) << query;
+    return std::make_pair(root.value_or(testing::HttpResult{}),
+                          tenant.value_or(testing::HttpResult{}));
+  };
+
+  // A zero-width range in the middle of the second window keeps that
+  // window's audit row alone.
+  const core::WindowAudit& second = snap.audits[1];
+  const std::string mid = std::to_string(
+      (to_seconds(second.window_begin) + to_seconds(second.window_end)) / 2);
+  const std::string range = "from=" + mid + "&to=" + mid;
+  const auto [root_csv, tenant_csv] = get_both("audits?" + range);
+  EXPECT_EQ(root_csv.status, 200);
+  EXPECT_EQ(tenant_csv.body, root_csv.body);
+  // The header line and the one row.
+  EXPECT_EQ(std::count(tenant_csv.body.begin(), tenant_csv.body.end(), '\n'),
+            2)
+      << tenant_csv.body;
+  const auto [root_json, tenant_json] = get_both("audits?format=json&" + range);
+  EXPECT_EQ(root_json.status, 200);
+  EXPECT_EQ(tenant_json.body, root_json.body);
+
+  // ?limit=N keeps the newest N records; latency fields are wall-clock,
+  // so compare the records' ids rather than the bodies.
+  const auto [root_limited, tenant_limited] = get_both("provenance?limit=1");
+  EXPECT_EQ(root_limited.status, 200);
+  EXPECT_EQ(tenant_limited.status, 200);
+  for (const auto* body : {&root_limited.body, &tenant_limited.body}) {
+    const auto records = core::parse_provenance_json(*body);
+    ASSERT_TRUE(records.has_value()) << *body;
+    ASSERT_EQ(records->size(), 1u) << *body;
+    EXPECT_EQ(records->front().id, snap.provenance.back().id);
+  }
+
+  for (const char* query :
+       {"audits?from=abc", "audits?to=", "audits?format=xml",
+        "provenance?limit=-1", "provenance?limit=x", "provenance?id=abc",
+        "provenance?id=999999", "report?format=pdf"}) {
+    const auto [root, tenant] = get_both(query);
+    EXPECT_GE(root.status, 400) << query;
+    EXPECT_EQ(tenant.status, root.status) << query;
+    EXPECT_EQ(tenant.body, root.body) << query;
+  }
   plane.stop();
 }
 

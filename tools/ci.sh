@@ -27,12 +27,12 @@
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   6. throughput bench: run bench/throughput_replay (full timed leg, the
-#      uninstrumented tier-1 tree) over the golden-trace corpus and
-#      refresh BENCH_throughput.json at the repo root — the recorded perf
-#      trajectory every PR extends. Sanitizer trees skip the timed leg but
-#      still cover the code path once via the ctest case labeled `bench`
-#      (ThroughputReplay.Quick) that the full ASan suite includes.
+#   6. perfbench smoke: a short follow_clean run of perfbench/run.py (the
+#      benchmark of record, see perfbench/BENCHMARK.md). It replays every
+#      corpus capture through the live daemon path as a self-check before
+#      measuring; the leg fails unless the run reports "correct": true.
+#   7. attack sweep: run bench/attack_sweep over the lab deployment and
+#      refresh BENCH_attack.json (gated on recall and false alarms).
 #
 # Usage: tools/ci.sh [--skip-asan] [--skip-ubsan] [--skip-tsan]
 # Run from anywhere; build trees land in <repo>/build-ci{,-asan,-ubsan,-tsan}.
@@ -76,10 +76,17 @@ run_suite() {
 echo "== tier-1: build + ctest =="
 run_suite "$repo/build-ci"
 
-echo "== bench: corpus ingest throughput (BENCH_throughput.json) =="
-# Timed leg on the uninstrumented tree only; it also re-pins every
-# committed .golden transcript byte for byte before reporting numbers.
-"$repo/build-ci/bench/throughput_replay" --out="$repo/BENCH_throughput.json"
+echo "== bench: perfbench follow_clean smoke (corpus self-check + live path) =="
+# run.py exits 0 whether or not the run was correct; the verdict is the
+# "correct" field of the JSON object on its last stdout line.
+perf_out="$(cd "$repo" && python3 perfbench/run.py --workload follow_clean \
+  --seconds 2 --trace 0)"
+printf '%s\n' "$perf_out"
+if ! printf '%s\n' "$perf_out" | tail -n 1 | python3 -c \
+    'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
+  echo "perfbench follow_clean: run not correct" >&2
+  exit 1
+fi
 
 echo "== bench: adversarial recall/false-alarm sweep (BENCH_attack.json) =="
 # Gated: nominal-intensity recall >= 0.9 with zero steady false alarms, or

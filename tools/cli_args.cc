@@ -16,11 +16,6 @@ namespace flowdiff::cli {
 
 namespace {
 
-bool has_suffix(const std::string& str, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
-}
-
 int emit(const std::string& path, const std::string& text) {
   if (path.empty()) {
     std::fputs(text.c_str(), stderr);
@@ -72,6 +67,11 @@ volatile std::sig_atomic_t g_shutdown = 0;
 void on_shutdown_signal(int) { g_shutdown = 1; }
 
 }  // namespace
+
+bool has_suffix(const std::string& str, const char* suffix) {
+  const std::size_t n = std::strlen(suffix);
+  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
+}
 
 int fail(const std::string& message) {
   std::fprintf(stderr, "flowdiff: %s\n", message.c_str());

@@ -27,6 +27,10 @@ namespace flowdiff::cli {
 /// status (2), so call sites read `return fail(...)`.
 int fail(const std::string& message);
 
+/// True when `str` ends with `suffix` (artifact paths pick their format by
+/// extension).
+[[nodiscard]] bool has_suffix(const std::string& str, const char* suffix);
+
 // --- global flags (--workers / --artifacts / --stats / --trace / --series) -
 
 struct GlobalOptions {

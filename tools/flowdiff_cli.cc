@@ -62,6 +62,7 @@ namespace {
 
 using namespace flowdiff;
 using cli::fail;
+using cli::has_suffix;
 
 void print_help(std::FILE* out) {
   std::fputs(
@@ -499,11 +500,6 @@ std::optional<MonitorCliArgs> parse_monitor_args(
     }
   }
   return parsed;
-}
-
-bool has_suffix(const std::string& str, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
 }
 
 /// Feeds the log file into the monitor and (by default) flushes it. With
