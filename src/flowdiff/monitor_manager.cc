@@ -66,9 +66,36 @@ bool MonitorManager::claim_task_locked(Shard& shard) {
 }
 
 void MonitorManager::submit(const std::shared_ptr<Shard>& shard) {
-  // Inline in serial mode (workers == 0): the events are fully fed by
-  // the time submit() returns, which is what the demux goldens pin.
   executor_.submit([this, shard] { run_shard(shard); });
+}
+
+void MonitorManager::feed_span(Shard& shard, const of::ControlEvent* events,
+                               std::size_t count) {
+  std::size_t fed = 0;
+  std::string fault;
+  try {
+    for (; fed < count; ++fed) {
+      if (config_.feed_hook) config_.feed_hook(shard.tenant, events[fed]);
+      shard.monitor->feed(events[fed]);
+    }
+    return;
+  } catch (const std::exception& e) {
+    fault = e.what();
+  } catch (...) {
+    fault = "unknown exception during feed";
+  }
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.state = ShardState::kFaulted;
+  shard.fault = std::move(fault);
+  // The event that threw, the rest of the span and the whole queue were
+  // all accepted into `events` and none will reach the monitor now.
+  shard.dropped += (count - fed) + shard.pending.size();
+  shard.pending.clear();
+}
+
+void MonitorManager::release_task_locked(Shard& shard) {
+  shard.task_scheduled = false;
+  shard.idle_cv.notify_all();
 }
 
 void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
@@ -76,9 +103,9 @@ void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(shard->mu);
+      // A fault in the previous batch left the shard not running.
       if (shard->pending.empty() || shard->state != ShardState::kRunning) {
-        shard->task_scheduled = false;
-        shard->idle_cv.notify_all();
+        release_task_locked(*shard);
         return;
       }
       const std::size_t take = std::min(shard->pending.size(), kFeedBatch);
@@ -88,30 +115,7 @@ void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
           shard->pending.begin(),
           shard->pending.begin() + static_cast<std::ptrdiff_t>(take));
     }
-    try {
-      for (const auto& event : batch) {
-        if (config_.feed_hook) config_.feed_hook(shard->tenant, event);
-        shard->monitor->feed(event);
-      }
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->state = ShardState::kFaulted;
-      shard->fault = e.what();
-      shard->dropped += shard->pending.size();
-      shard->pending.clear();
-      shard->task_scheduled = false;
-      shard->idle_cv.notify_all();
-      return;
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->state = ShardState::kFaulted;
-      shard->fault = "unknown exception during feed";
-      shard->dropped += shard->pending.size();
-      shard->pending.clear();
-      shard->task_scheduled = false;
-      shard->idle_cv.notify_all();
-      return;
-    }
+    feed_span(*shard, batch.data(), batch.size());
   }
 }
 
@@ -133,26 +137,39 @@ bool MonitorManager::feed_range(const std::string& tenant,
   // so the tick is read with the lookup, before the shard lock.
   std::uint64_t now = 0;
   auto shard = find_or_create(tenant, nullptr, &now);
-  bool dispatch = false;
-  {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->last_fed_tick = now;
-    if (shard->state != ShardState::kRunning) {
-      shard->dropped += count;
-      return false;
-    }
-    shard->pending.insert(shard->pending.end(), events, events + count);
-    shard->events += count;
-    if (executor_.serial() || shard->pending.size() >= kFeedBatch) {
-      dispatch = claim_task_locked(*shard);
-    } else if (!shard->task_scheduled && !shard->listed) {
-      // An in-flight task drains the queue by itself; otherwise the shard
-      // waits for the round boundary.
-      shard->listed = true;
-      std::lock_guard<std::mutex> ready(ready_mu_);
-      ready_.push_back(shard);
-    }
+  std::unique_lock<std::mutex> lock(shard->mu);
+  shard->last_fed_tick = now;
+  if (executor_.serial()) {
+    // Serial mode feeds the caller's range itself, with no queue and no
+    // copy. Another thread feeding this tenant at the same time waits its
+    // turn, so the monitor still sees one feeder at a time.
+    shard->idle_cv.wait(lock, [&shard] { return !shard->task_scheduled; });
   }
+  if (shard->state != ShardState::kRunning) {
+    shard->dropped += count;
+    return false;
+  }
+  shard->events += count;
+  if (executor_.serial()) {
+    shard->task_scheduled = true;
+    lock.unlock();
+    feed_span(*shard, events, count);
+    lock.lock();
+    release_task_locked(*shard);
+    return true;
+  }
+  shard->pending.insert(shard->pending.end(), events, events + count);
+  bool dispatch = false;
+  if (shard->pending.size() >= kFeedBatch) {
+    dispatch = claim_task_locked(*shard);
+  } else if (!shard->task_scheduled && !shard->listed) {
+    // An in-flight task drains the queue by itself; otherwise the shard
+    // waits for the round boundary.
+    shard->listed = true;
+    std::lock_guard<std::mutex> ready(ready_mu_);
+    ready_.push_back(shard);
+  }
+  lock.unlock();
   if (dispatch) submit(shard);
   return true;
 }

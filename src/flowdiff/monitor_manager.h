@@ -6,11 +6,12 @@
 // per tenant and the scheduling between them:
 //
 //   * feed(tenant, event) routes events to the tenant's shard, creating it
-//     on first contact from the manager's shard option template. Events
-//     queue per shard and are fed by at most one executor task per shard
-//     at a time, so per-tenant order (the thing windowing depends on) is
-//     preserved at any worker count while distinct tenants proceed in
-//     parallel on the manager's util::Executor pool.
+//     on first contact from the manager's shard option template. A shard
+//     is fed by at most one thread at a time, so per-tenant order (the
+//     thing windowing depends on) is preserved at any worker count. With
+//     workers > 0, events queue per shard and at most one executor task
+//     per shard feeds them, while distinct tenants proceed in parallel on
+//     the manager's util::Executor pool.
 //   * With workers > 0, tick() is the round boundary that hands queued
 //     work to the pool: feed() only queues the event and lists the shard
 //     as ready, and tick() hands the round's ready shards to at most
@@ -24,7 +25,8 @@
 //     transition.
 //   * Shard faults are isolated: an exception escaping one shard's feed
 //     marks that shard kFaulted (with the message retained) and drops its
-//     backlog; every other tenant keeps running, and the aggregate health
+//     backlog, counting every accepted event the monitor never saw as
+//     dropped; every other tenant keeps running, and the aggregate health
 //     turns unhealthy naming the faulted tenant.
 //   * Idle eviction reclaims memory for tenants that stopped talking: the
 //     serve loop advances tick() once per poll round, and evict_idle(n)
@@ -34,9 +36,11 @@
 //   * stop_all() is the SIGTERM path: drain every queue, flush every
 //     shard's final partial window, and leave the results readable.
 //
-// With ManagerConfig::workers == 0 the executor runs tasks inline on the
-// feeding thread — every feed() is processed before it returns, fully
-// deterministic, and the mode the demux golden tests pin. This pool is the
+// With ManagerConfig::workers == 0 there is no queue: feed() hands the
+// caller's events straight to the shard's monitor on the feeding thread,
+// without copying them — every feed() is processed before it returns,
+// fully deterministic, and the mode the demux golden tests pin. The same
+// span-feeding function (feed_span) serves both modes. This pool is the
 // only one in the monitoring path: a shard models, diffs, and commits each
 // window on whichever thread feeds it (see SlidingMonitor), and its model
 // builds run serially there.
@@ -169,8 +173,9 @@ class MonitorManager {
     std::condition_variable idle_cv;  ///< pending empty and no task running.
     std::unique_ptr<SlidingMonitor> monitor;
     ShardState state = ShardState::kRunning;
-    std::deque<of::ControlEvent> pending;
-    bool task_scheduled = false;  ///< A task is submitted or running.
+    std::deque<of::ControlEvent> pending;  ///< Queue (workers > 0 only).
+    /// A task is submitted or running, or a serial feed() is in progress.
+    bool task_scheduled = false;
     bool listed = false;          ///< In ready_, awaiting the next tick().
     std::uint64_t events = 0;
     std::uint64_t dropped = 0;
@@ -192,9 +197,18 @@ class MonitorManager {
   /// Claims the shard for a new task if it has queued events, is running
   /// and has none in flight. Caller holds shard.mu and submits on true.
   static bool claim_task_locked(Shard& shard);
+  /// Ends the feeding turn claimed through task_scheduled and wakes
+  /// waiters. Caller holds shard.mu.
+  static void release_task_locked(Shard& shard);
   void submit(const std::shared_ptr<Shard>& shard);
-  /// The per-shard executor task: feeds queued batches until the queue is
-  /// empty, faulting the shard on any exception.
+  /// Feeds events[0, count) to the shard's monitor in order; the caller
+  /// holds the feeding turn but not shard.mu. On an exception the shard
+  /// faults, and the unfed rest of the span plus the whole queue count as
+  /// dropped.
+  void feed_span(Shard& shard, const of::ControlEvent* events,
+                 std::size_t count);
+  /// The per-shard executor task (workers > 0): feeds queued batches
+  /// through feed_span until the queue is empty or the shard faulted.
   void run_shard(const std::shared_ptr<Shard>& shard);
   /// Dispatches whatever the shard still has queued, then waits until the
   /// queue is empty and no task is in flight.

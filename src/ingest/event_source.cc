@@ -18,10 +18,11 @@ namespace flowdiff::ingest {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// Reads one SocketSource::poll makes per client (1 MiB at most). A
-/// producer faster than parsing would otherwise keep one poll reading
-/// until EAGAIN, and nothing downstream would see an event until it
-/// paused; bounded, every poll hands its events on within a fixed budget.
+/// Reads one poll makes per socket client or per tailed file (1 MiB at
+/// most). A producer faster than parsing, or a large existing capture,
+/// would otherwise keep one poll reading until EAGAIN or EOF, and nothing
+/// downstream would see an event until it was all parsed; bounded, every
+/// poll hands its events on within a fixed budget.
 constexpr int kMaxReadsPerPoll = 16;
 
 bool set_nonblocking(int fd) {
@@ -42,18 +43,20 @@ void close_fd(int& fd) {
 
 std::size_t EventSource::parse_line(std::string_view line,
                                     std::vector<of::ControlEvent>& out) {
-  // parse_control_events is all-or-nothing over its input, so feeding it
-  // one line at a time converts that contract into per-line rejection:
-  // comments and blanks come back as an empty vector, a record as one
-  // event, garbage as nullopt.
-  auto parsed = of::parse_control_events(line);
-  if (!parsed) {
-    ++stats_.lines_rejected;
-    return 0;
+  // Parse straight into the caller's vector: a line costs no allocation
+  // once `out` has grown to the poll's size.
+  switch (of::parse_control_line(line, out.emplace_back())) {
+    case of::LineParse::kEvent:
+      ++stats_.events;
+      return 1;
+    case of::LineParse::kMalformed:
+      ++stats_.lines_rejected;
+      break;
+    case of::LineParse::kSkip:
+      break;
   }
-  for (auto& event : *parsed) out.push_back(std::move(event));
-  stats_.events += parsed->size();
-  return parsed->size();
+  out.pop_back();
+  return 0;
 }
 
 std::size_t EventSource::consume_text(std::string* partial,
@@ -118,16 +121,20 @@ bool FileTailSource::ensure_open() {
   return true;
 }
 
-std::size_t FileTailSource::drain_fd(std::vector<of::ControlEvent>& out) {
+std::size_t FileTailSource::read_fd(std::vector<of::ControlEvent>& out,
+                                    bool* at_eof) {
   std::size_t produced = 0;
+  *at_eof = false;
   char buf[kReadChunk];
-  for (;;) {
+  for (int reads = 0; reads < kMaxReadsPerPoll; ++reads) {
     const ssize_t n = ::pread(fd_, buf, sizeof(buf), offset_);
-    if (n <= 0) break;
+    if (n <= 0) {
+      *at_eof = true;
+      break;
+    }
     offset_ += n;
-    produced += consume_text(&partial_, std::string_view(buf,
-                                                         static_cast<std::size_t>(n)),
-                             out);
+    produced += consume_text(
+        &partial_, std::string_view(buf, static_cast<std::size_t>(n)), out);
   }
   return produced;
 }
@@ -150,12 +157,17 @@ std::size_t FileTailSource::poll(std::vector<of::ControlEvent>& out) {
     partial_.clear();
   }
 
-  produced += drain_fd(out);
+  bool eof = false;
+  produced += read_fd(out, &eof);
+  if (!eof) {
+    at_eof_ = false;  // The budget ran out first: more bytes are waiting.
+    return produced;
+  }
 
   // rename-style rotation: the path now names a different file. Only
-  // switch after draining the old fd to EOF above, so nothing written
-  // before the rename is lost; the final unterminated line (a writer cut
-  // off mid-record) is flushed as-is.
+  // switch once the old fd reached EOF above, so nothing written before
+  // the rename is lost; the final unterminated line (a writer cut off
+  // mid-record) is flushed as-is.
   struct stat at_path{};
   if (::stat(config_.path.c_str(), &at_path) == 0 &&
       (at_path.st_dev != dev_ || at_path.st_ino != ino_)) {
@@ -164,7 +176,7 @@ std::size_t FileTailSource::poll(std::vector<of::ControlEvent>& out) {
     ++stats_.rotations;
     const bool from_start = config_.from_start;
     config_.from_start = true;  // the successor file is all-new content
-    if (ensure_open()) produced += drain_fd(out);
+    if (ensure_open()) produced += read_fd(out, &eof);
     config_.from_start = from_start;
     at_eof_ = false;  // a successor may already have more behind it
     return produced;

@@ -8,12 +8,13 @@
 // monitor shards. Two implementations:
 //
 //   * FileTailSource — follows a log file the way `tail -F` does: reads
-//     appended bytes, survives log rotation (the file is renamed and a new
-//     one created at the same path: the old fd is drained to EOF before
-//     switching, so no event written before the rotation is lost) and
-//     in-place truncation (copytruncate-style rotation: the offset resets
-//     to the new, shorter file), and waits politely for a path that does
-//     not exist yet.
+//     appended bytes (a bounded budget per poll, so a large existing
+//     capture comes back over several polls), survives log rotation (the
+//     file is renamed and a new one created at the same path: the old fd
+//     is read to EOF before switching, so no event written before the
+//     rotation is lost) and in-place truncation (copytruncate-style
+//     rotation: the offset resets to the new, shorter file), and waits
+//     politely for a path that does not exist yet.
 //
 //   * SocketSource — accepts line-oriented control-log text over a TCP or
 //     unix-domain listening socket. Multiple producers may connect; each
@@ -23,11 +24,14 @@
 //     daemon at all — that gap is exactly what the ingest sanitizer's
 //     PacketIn/FlowMod orphan reconciliation estimates downstream.
 //
-// Malformed lines are counted (SourceStats::lines_rejected) and skipped —
-// a daemon must outlive a corrupted producer, so per-line rejection
-// replaces the parse-the-whole-file-or-fail contract of log_io. Comment
-// ('#') and blank lines are ignored exactly like the file parser does,
-// which is what lets serve tail a golden-corpus capture verbatim.
+// Every complete line goes through of::parse_control_line, the same
+// single-pass parser log_io's whole-file functions loop over, straight
+// into the caller's event vector (no per-line allocation). Malformed
+// lines are counted (SourceStats::lines_rejected) and skipped — a daemon
+// must outlive a corrupted producer, so per-line rejection replaces the
+// parse-the-whole-file-or-fail contract of log_io. Comment ('#') and
+// blank lines are ignored exactly like the file parser does, which is
+// what lets serve tail a golden-corpus capture verbatim.
 #pragma once
 
 #include <cstdint>
@@ -64,13 +68,15 @@ class EventSource {
 
   /// Reads what the source has available right now, appending parsed
   /// events to `out` in arrival order. Never blocks; returns the number of
-  /// events appended. A file tail drains to EOF; a socket reads a bounded
-  /// budget per client, so a fast producer's backlog spans several polls.
+  /// events appended. A file tail reads a bounded budget per call and a
+  /// socket a bounded budget per client, so a large file or a fast
+  /// producer's backlog spans several polls.
   virtual std::size_t poll(std::vector<of::ControlEvent>& out) = 0;
 
   /// True when the source cannot currently produce more without external
   /// input (file at EOF, no socket bytes pending) — the serve loop's
-  /// exit-after-idle test.
+  /// exit-after-idle test. A file tail whose last poll stopped at its
+  /// read budget is not idle.
   [[nodiscard]] virtual bool idle() const = 0;
 
   /// Human-readable identity for announcements and the serve summary.
@@ -122,8 +128,9 @@ class FileTailSource : public EventSource {
  private:
   /// Opens config_.path if not already open; false while it is absent.
   bool ensure_open();
-  /// Reads fd_ to EOF, consuming lines into `out`.
-  std::size_t drain_fd(std::vector<of::ControlEvent>& out);
+  /// Reads fd_ for up to the per-poll budget, consuming lines into `out`;
+  /// sets `at_eof` when a read came back empty before the budget ran out.
+  std::size_t read_fd(std::vector<of::ControlEvent>& out, bool* at_eof);
 
   FileTailConfig config_;
   int fd_ = -1;

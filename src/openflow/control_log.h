@@ -13,6 +13,11 @@ namespace flowdiff::of {
 
 class ControlLog {
  public:
+  ControlLog() = default;
+  /// Adopts already-built events (e.g. a parsed capture file) without
+  /// copying them; one pass notes whether they arrived time-sorted.
+  explicit ControlLog(std::vector<ControlEvent> events);
+
   /// Appends an event. Out-of-order appends are tolerated; the log sorts
   /// itself lazily on the next ordered access, so bulk appends stay O(n).
   void append(ControlEvent event);

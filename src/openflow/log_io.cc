@@ -1,11 +1,11 @@
 #include "openflow/log_io.h"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 namespace flowdiff::of {
@@ -50,117 +50,121 @@ constexpr bool is_field_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-/// Zero-copy whitespace tokenizer over one line: every token is a view
-/// into the caller's buffer, numbers go through std::from_chars — no
-/// copies, no exceptions, no per-field allocations. Any failure poisons
-/// the line (callers bail to nullopt), matching the capture format's
-/// all-or-nothing contract.
+/// Blank lines and '#' comments carry no record.
+constexpr bool is_skipped_line(std::string_view line) {
+  return line.empty() || line.front() == '#';
+}
+
+/// One cursor over one line: every field is parsed in place as the cursor
+/// passes it, with no token views built first, no copies and no per-field
+/// allocation. Each call skips the separators before its field and fails
+/// when the field is missing, malformed, or runs into more bytes than its
+/// grammar takes; any failure poisons the line (callers reject the whole
+/// record), matching the capture format's all-or-nothing contract.
 class FieldScanner {
  public:
-  explicit FieldScanner(std::string_view line) : rest_(line) {}
+  explicit FieldScanner(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
 
-  std::optional<std::string_view> token() {
-    std::size_t i = 0;
-    while (i < rest_.size() && is_field_space(rest_[i])) ++i;
-    if (i == rest_.size()) {
-      rest_ = {};
-      return std::nullopt;
-    }
-    std::size_t j = i;
-    while (j < rest_.size() && !is_field_space(rest_[j])) ++j;
-    const std::string_view tok = rest_.substr(i, j - i);
-    rest_.remove_prefix(j);
-    return tok;
+  /// The next whitespace-delimited token; false when the line ran out.
+  bool token(std::string_view& out) {
+    skip_space();
+    if (p_ == end_) return false;
+    const char* first = p_;
+    while (p_ != end_ && !is_field_space(*p_)) ++p_;
+    out = std::string_view(first, static_cast<std::size_t>(p_ - first));
+    return true;
   }
 
+  /// A base-10 integer filling the whole token, in the grammar
+  /// std::from_chars accepts: digits only, a leading '-' for signed types
+  /// alone, never '+', and values outside Int's range reject (a port of
+  /// 65536 is an error, not 0).
   template <typename Int>
-  std::optional<Int> number() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    return parse_number<Int>(*t);
+  bool number(Int& out) {
+    using U = std::make_unsigned_t<Int>;
+    skip_space();
+    bool negative = false;
+    if constexpr (std::is_signed_v<Int>) {
+      if (p_ != end_ && *p_ == '-') {
+        negative = true;
+        ++p_;
+      }
+    }
+    const U limit = negative
+                        ? U(U(std::numeric_limits<Int>::max()) + 1)
+                        : U(std::numeric_limits<Int>::max());
+    const U cap = limit / 10;
+    const unsigned last_digit = static_cast<unsigned>(limit % 10);
+    const char* digits = p_;
+    U value = 0;
+    for (; p_ != end_; ++p_) {
+      const unsigned d = static_cast<unsigned char>(*p_) - unsigned{'0'};
+      if (d > 9) break;
+      if (value > cap || (value == cap && d > last_digit)) return false;
+      value = static_cast<U>(value * 10 + d);
+    }
+    if (p_ == digits || !at_token_end()) return false;
+    out = negative ? static_cast<Int>(U(0) - value) : static_cast<Int>(value);
+    return true;
   }
 
-  /// Full-token numeric parse: trailing bytes, sign mismatches, and values
-  /// outside Int's range all reject (std::from_chars never throws, unlike
-  /// the std::stoi family this replaced).
-  template <typename Int>
-  static std::optional<Int> parse_number(std::string_view t) {
-    Int value{};
-    const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc{} || p != t.data() + t.size()) return std::nullopt;
-    return value;
+  /// A dotted quad filling the whole token (Ipv4's own grammar).
+  bool ip(Ipv4& out) {
+    skip_space();
+    const char* stop = Ipv4::parse_prefix(p_, end_, out);
+    if (stop == nullptr) return false;
+    p_ = stop;
+    return at_token_end();
   }
 
-  std::optional<Ipv4> ip() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    return Ipv4::parse(*t);
+  bool key(FlowKey& k) {
+    int proto = 0;
+    if (!ip(k.src_ip) || !number(k.src_port) || !ip(k.dst_ip) ||
+        !number(k.dst_port) || !number(proto)) {
+      return false;
+    }
+    k.proto = static_cast<Proto>(proto);
+    return true;
   }
 
-  std::optional<FlowKey> key() {
-    FlowKey k;
-    const auto src = ip();
-    const auto sport = number<std::uint16_t>();
-    const auto dst = ip();
-    const auto dport = number<std::uint16_t>();
-    const auto proto = number<int>();
-    if (!src || !sport || !dst || !dport || !proto) return std::nullopt;
-    k.src_ip = *src;
-    k.src_port = *sport;
-    k.dst_ip = *dst;
-    k.dst_port = *dport;
-    k.proto = static_cast<Proto>(*proto);
-    return k;
-  }
-
-  std::optional<FlowMatch> match() {
-    FlowMatch m;
-    auto next = [this]() { return token(); };
-    const auto fields = std::array{next(), next(), next(), next(), next(),
-                                   next()};
-    for (const auto& f : fields) {
-      if (!f) return std::nullopt;
+  /// Six match fields, each '-' (absent) or a value that must parse: a
+  /// present-but-garbled field rejects the whole line rather than being
+  /// silently widened to a wildcard.
+  bool match(FlowMatch& m) {
+    m = FlowMatch{};
+    if (!wildcard() && !ip(m.src_ip.emplace())) return false;
+    if (!wildcard() && !number(m.src_port.emplace())) return false;
+    if (!wildcard() && !ip(m.dst_ip.emplace())) return false;
+    if (!wildcard() && !number(m.dst_port.emplace())) return false;
+    if (!wildcard()) {
+      int proto = 0;
+      if (!number(proto)) return false;
+      m.proto = static_cast<Proto>(proto);
     }
-    // Wildcard ('-') means "field absent"; anything else must parse, and a
-    // present-but-garbled field rejects the whole line rather than being
-    // silently widened to a wildcard.
-    if (*fields[0] != "-") {
-      m.src_ip = Ipv4::parse(*fields[0]);
-      if (!m.src_ip) return std::nullopt;
-    }
-    if (*fields[1] != "-") {
-      m.src_port = parse_u16(*fields[1]);
-      if (!m.src_port) return std::nullopt;
-    }
-    if (*fields[2] != "-") {
-      m.dst_ip = Ipv4::parse(*fields[2]);
-      if (!m.dst_ip) return std::nullopt;
-    }
-    if (*fields[3] != "-") {
-      m.dst_port = parse_u16(*fields[3]);
-      if (!m.dst_port) return std::nullopt;
-    }
-    if (*fields[4] != "-") {
-      const auto proto = parse_number<int>(*fields[4]);
-      if (!proto) return std::nullopt;
-      m.proto = static_cast<Proto>(*proto);
-    }
-    if (*fields[5] != "-") {
-      const auto port = parse_number<std::uint32_t>(*fields[5]);
-      if (!port) return std::nullopt;
-      m.in_port = PortId{*port};
-    }
-    return m;
+    return wildcard() || number(m.in_port.emplace().value);
   }
 
  private:
-  /// Port fields reject values > 65535 outright (from_chars'
-  /// result_out_of_range) instead of truncating them modulo 2^16.
-  static std::optional<std::uint16_t> parse_u16(std::string_view t) {
-    return parse_number<std::uint16_t>(t);
+  void skip_space() {
+    while (p_ != end_ && is_field_space(*p_)) ++p_;
   }
 
-  std::string_view rest_;
+  [[nodiscard]] bool at_token_end() const {
+    return p_ == end_ || is_field_space(*p_);
+  }
+
+  /// Consumes a lone '-' (a wildcard match field) if one comes next.
+  bool wildcard() {
+    skip_space();
+    if (p_ == end_ || *p_ != '-') return false;
+    if (p_ + 1 != end_ && !is_field_space(p_[1])) return false;
+    ++p_;
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
 };
 
 /// Splits text into '\n'-terminated line views without copying; blank and
@@ -176,7 +180,7 @@ class LineScanner {
       std::string_view line = rest_.substr(0, eol);
       rest_.remove_prefix(eol == std::string_view::npos ? rest_.size()
                                                         : eol + 1);
-      if (line.empty() || line[0] == '#') continue;
+      if (is_skipped_line(line)) continue;
       return line;
     }
     return std::nullopt;
@@ -187,101 +191,44 @@ class LineScanner {
 };
 
 /// Parses the payload of one event line (everything after the leading
-/// kind/ts/ctrl triple, which the caller already consumed).
+/// kind/ts/ctrl triple, which the caller already consumed) straight into
+/// the event's message.
 bool parse_event_body(std::string_view kind, FieldScanner& r,
                       ControlEvent& event) {
   if (kind == "PIN") {
-    PacketIn pin;
-    const auto sw = r.number<std::uint32_t>();
-    const auto in_port = r.number<std::uint32_t>();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !in_port || !key || !uid) return false;
-    pin.sw = SwitchId{*sw};
-    pin.in_port = PortId{*in_port};
-    pin.key = *key;
-    pin.flow_uid = *uid;
-    event.msg = pin;
-  } else if (kind == "FMOD") {
-    FlowMod fm;
-    const auto sw = r.number<std::uint32_t>();
-    const auto out_port = r.number<std::uint32_t>();
-    const auto idle = r.number<SimDuration>();
-    const auto hard = r.number<SimDuration>();
-    const auto match = r.match();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !out_port || !idle || !hard || !match || !key || !uid) {
-      return false;
-    }
-    fm.sw = SwitchId{*sw};
-    fm.out_port = PortId{*out_port};
-    fm.idle_timeout = *idle;
-    fm.hard_timeout = *hard;
-    fm.match = *match;
-    fm.key = *key;
-    fm.flow_uid = *uid;
-    event.msg = fm;
-  } else if (kind == "POUT") {
-    PacketOut po;
-    const auto sw = r.number<std::uint32_t>();
-    const auto out_port = r.number<std::uint32_t>();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !out_port || !key || !uid) return false;
-    po.sw = SwitchId{*sw};
-    po.out_port = PortId{*out_port};
-    po.key = *key;
-    po.flow_uid = *uid;
-    event.msg = po;
-  } else if (kind == "FREM") {
-    FlowRemoved fr;
-    const auto sw = r.number<std::uint32_t>();
-    const auto reason = r.number<int>();
-    const auto duration = r.number<SimDuration>();
-    const auto bytes = r.number<std::uint64_t>();
-    const auto pkts = r.number<std::uint64_t>();
-    const auto match = r.match();
-    const auto key = r.key();
-    if (!sw || !reason || !duration || !bytes || !pkts || !match || !key) {
-      return false;
-    }
-    fr.sw = SwitchId{*sw};
-    fr.reason = static_cast<RemovedReason>(*reason);
-    fr.duration = *duration;
-    fr.byte_count = *bytes;
-    fr.packet_count = *pkts;
-    fr.match = *match;
-    fr.key = *key;
-    event.msg = fr;
-  } else if (kind == "STAT") {
-    FlowStatsReply st;
-    const auto sw = r.number<std::uint32_t>();
-    const auto age = r.number<SimDuration>();
-    const auto bytes = r.number<std::uint64_t>();
-    const auto pkts = r.number<std::uint64_t>();
-    const auto match = r.match();
-    const auto key = r.key();
-    if (!sw || !age || !bytes || !pkts || !match || !key) {
-      return false;
-    }
-    st.sw = SwitchId{*sw};
-    st.age = *age;
-    st.byte_count = *bytes;
-    st.packet_count = *pkts;
-    st.match = *match;
-    st.key = *key;
-    event.msg = st;
-  } else if (kind == "ECHO") {
-    EchoReply echo;
-    const auto sw = r.number<std::uint32_t>();
-    if (!sw) return false;
-    echo.sw = SwitchId{*sw};
-    event.msg = echo;
-  } else {
-    return false;  // Unknown record type.
+    auto& pin = event.msg.emplace<PacketIn>();
+    return r.number(pin.sw.value) && r.number(pin.in_port.value) &&
+           r.key(pin.key) && r.number(pin.flow_uid);
   }
-  return true;
+  if (kind == "FMOD") {
+    auto& fm = event.msg.emplace<FlowMod>();
+    return r.number(fm.sw.value) && r.number(fm.out_port.value) &&
+           r.number(fm.idle_timeout) && r.number(fm.hard_timeout) &&
+           r.match(fm.match) && r.key(fm.key) && r.number(fm.flow_uid);
+  }
+  if (kind == "POUT") {
+    auto& po = event.msg.emplace<PacketOut>();
+    return r.number(po.sw.value) && r.number(po.out_port.value) &&
+           r.key(po.key) && r.number(po.flow_uid);
+  }
+  if (kind == "FREM") {
+    auto& fr = event.msg.emplace<FlowRemoved>();
+    int reason = 0;
+    if (!r.number(fr.sw.value) || !r.number(reason)) return false;
+    fr.reason = static_cast<RemovedReason>(reason);
+    return r.number(fr.duration) && r.number(fr.byte_count) &&
+           r.number(fr.packet_count) && r.match(fr.match) && r.key(fr.key);
+  }
+  if (kind == "STAT") {
+    auto& st = event.msg.emplace<FlowStatsReply>();
+    return r.number(st.sw.value) && r.number(st.age) &&
+           r.number(st.byte_count) && r.number(st.packet_count) &&
+           r.match(st.match) && r.key(st.key);
+  }
+  if (kind == "ECHO") {
+    return r.number(event.msg.emplace<EchoReply>().sw.value);
+  }
+  return false;  // Unknown record type.
 }
 
 void append_event(std::string& out, const ControlEvent& event) {
@@ -348,6 +295,17 @@ std::string serialize(const std::vector<ControlEvent>& events) {
 
 std::string serialize(const ControlLog& log) { return serialize(log.events()); }
 
+LineParse parse_control_line(std::string_view line, ControlEvent& out) {
+  if (is_skipped_line(line)) return LineParse::kSkip;
+  FieldScanner r(line);
+  std::string_view kind;
+  if (!r.token(kind) || !r.number(out.ts) || !r.number(out.controller.value) ||
+      !parse_event_body(kind, r, out)) {
+    return LineParse::kMalformed;
+  }
+  return LineParse::kEvent;
+}
+
 std::optional<std::vector<ControlEvent>> parse_control_events(
     std::string_view text) {
   std::vector<ControlEvent> events;
@@ -357,16 +315,10 @@ std::optional<std::vector<ControlEvent>> parse_control_events(
       std::count(text.begin(), text.end(), '\n') + 1));
   LineScanner lines(text);
   while (const auto line = lines.next()) {
-    FieldScanner r(*line);
-    const auto kind = r.token();
-    const auto ts = r.number<SimTime>();
-    const auto ctrl = r.number<std::uint32_t>();
-    if (!kind || !ts || !ctrl) return std::nullopt;
-    ControlEvent event;
-    event.ts = *ts;
-    event.controller = ControllerId{*ctrl};
-    if (!parse_event_body(*kind, r, event)) return std::nullopt;
-    events.push_back(std::move(event));
+    if (parse_control_line(*line, events.emplace_back()) !=
+        LineParse::kEvent) {
+      return std::nullopt;
+    }
   }
   return events;
 }
@@ -374,10 +326,7 @@ std::optional<std::vector<ControlEvent>> parse_control_events(
 std::optional<ControlLog> parse_control_log(std::string_view text) {
   auto events = parse_control_events(text);
   if (!events) return std::nullopt;
-  ControlLog log;
-  log.reserve(events->size());
-  for (auto& event : *events) log.append(std::move(event));
-  return log;
+  return ControlLog(std::move(*events));
 }
 
 std::string serialize(const FlowSequence& flows) {
@@ -398,12 +347,12 @@ std::optional<FlowSequence> parse_flow_sequence(std::string_view text) {
   LineScanner lines(text);
   while (const auto line = lines.next()) {
     FieldScanner r(*line);
-    const auto kind = r.token();
-    if (!kind || *kind != "FLOW") return std::nullopt;
-    const auto ts = r.number<SimTime>();
-    const auto key = r.key();
-    if (!ts || !key) return std::nullopt;
-    flows.push_back(TimedFlow{*ts, *key});
+    std::string_view kind;
+    TimedFlow& flow = flows.emplace_back();
+    if (!r.token(kind) || kind != "FLOW" || !r.number(flow.ts) ||
+        !r.key(flow.key)) {
+      return std::nullopt;
+    }
   }
   return flows;
 }

@@ -10,7 +10,14 @@
 //   FREM <ts> <ctrl> <sw> <reason> <duration> <bytes> <pkts> <match:6> <key:5>
 //   ECHO <ts> <ctrl> <sw>
 //
-// Lines starting with '#' and blank lines are ignored.
+// Lines starting with '#' and blank lines are ignored. Separators are runs
+// of ' ', '\t', '\r', '\v' or '\f'; integers are plain base-10 digits ('-'
+// only for signed fields, never '+') and reject rather than wrap when out
+// of range. Tokens after a record's last field are ignored.
+//
+// parse_control_line is the only text-to-event parser: parse_control_events
+// (and so parse_control_log) loops it over a whole capture, and the live
+// ingest sources (ingest::EventSource) call it once per line.
 #pragma once
 
 #include <optional>
@@ -37,9 +44,22 @@ namespace flowdiff::of {
 /// round-trip to disk, e.g. the golden-trace corpus.
 [[nodiscard]] std::string serialize(const std::vector<ControlEvent>& events);
 
-/// Parses log lines preserving file order (parse_control_log wraps this
-/// and hands back a lazily self-sorting ControlLog; use this form when
-/// arrival order matters, e.g. feeding the ingest sanitizer).
+/// What parse_control_line made of one line.
+enum class LineParse {
+  kEvent,      ///< A record; `out` holds it.
+  kSkip,       ///< Blank or '#' comment; `out` is untouched.
+  kMalformed,  ///< Not a well-formed record; `out` is unspecified.
+};
+
+/// Parses one line (without its '\n') into `out` in a single pass over
+/// the bytes, allocating nothing.
+[[nodiscard]] LineParse parse_control_line(std::string_view line,
+                                           ControlEvent& out);
+
+/// Parses log lines preserving file order; nullopt if any line is
+/// malformed. parse_control_log wraps this and adopts the vector into a
+/// lazily self-sorting ControlLog; use this form when arrival order
+/// matters, e.g. feeding the ingest sanitizer.
 [[nodiscard]] std::optional<std::vector<ControlEvent>> parse_control_events(
     std::string_view text);
 

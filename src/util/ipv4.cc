@@ -1,7 +1,5 @@
 #include "util/ipv4.h"
 
-#include <charconv>
-
 namespace flowdiff {
 
 std::string Ipv4::to_string() const {
@@ -14,23 +12,36 @@ std::string Ipv4::to_string() const {
   return out;
 }
 
-std::optional<Ipv4> Ipv4::parse(std::string_view text) {
+const char* Ipv4::parse_prefix(const char* first, const char* last,
+                               Ipv4& out) {
   std::uint32_t raw = 0;
-  const char* p = text.data();
-  const char* end = text.data() + text.size();
+  const char* p = first;
   for (int octet = 0; octet < 4; ++octet) {
-    unsigned value = 0;
-    auto [next, ec] = std::from_chars(p, end, value);
-    if (ec != std::errc{} || value > 255) return std::nullopt;
-    raw = (raw << 8) | value;
-    p = next;
-    if (octet < 3) {
-      if (p == end || *p != '.') return std::nullopt;
+    if (octet > 0) {
+      if (p == last || *p != '.') return nullptr;
       ++p;
     }
+    const char* digits = p;
+    unsigned value = 0;
+    for (; p != last; ++p) {
+      const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+      if (d > 9) break;
+      value = value * 10 + d;
+      if (value > 255) return nullptr;  // Digits only ever grow the value.
+    }
+    if (p == digits) return nullptr;
+    raw = (raw << 8) | value;
   }
-  if (p != end) return std::nullopt;
-  return Ipv4{raw};
+  out = Ipv4{raw};
+  return p;
+}
+
+std::optional<Ipv4> Ipv4::parse(std::string_view text) {
+  Ipv4 ip;
+  const char* end = text.data() + text.size();
+  const char* stop = parse_prefix(text.data(), end, ip);
+  if (stop == nullptr || stop != end) return std::nullopt;
+  return ip;
 }
 
 }  // namespace flowdiff

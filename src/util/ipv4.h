@@ -28,6 +28,14 @@ class Ipv4 {
   /// Parses dotted-quad text; nullopt on malformed input.
   static std::optional<Ipv4> parse(std::string_view text);
 
+  /// The dotted-quad grammar itself: four 1+ digit octets (each <= 255,
+  /// leading zeros allowed) joined by '.', read from the front of
+  /// [first, last). Returns the end of the quad, or nullptr when none
+  /// starts there. parse() is this plus "nothing follows"; the log scanner
+  /// calls it in place on a line and checks the token ends there.
+  static const char* parse_prefix(const char* first, const char* last,
+                                  Ipv4& out);
+
   friend constexpr auto operator<=>(Ipv4, Ipv4) = default;
 
  private:

@@ -191,6 +191,53 @@ TEST(FileTailSource, FromEndSkipsExistingContent) {
   fs::remove_all(dir);
 }
 
+TEST(FileTailSource, LargeFileComesBackOverSeveralBoundedPolls) {
+  // A 4 MiB capture already on disk must not be parsed into one batch by
+  // a single poll(): each poll reads a bounded budget (16 reads of
+  // 64 KiB) and reports idle() false while bytes remain, so the file
+  // comes back over several polls — in order, complete, and with the same
+  // totals an unbounded drain would report.
+  const fs::path dir = fresh_dir("evsrc_large");
+  const fs::path log = dir / "a.log";
+  std::string text;
+  std::size_t lines = 0;
+  while (text.size() < (std::size_t{4} << 20)) {
+    text += pin_line(1000 + static_cast<long long>(lines), 0,
+                     static_cast<int>(lines % 50000));
+    ++lines;
+  }
+  append(log, text);
+
+  FileTailSource source("t", FileTailConfig{log.string(), true});
+  constexpr std::uint64_t kPollBudget = 16 * 64 * 1024;
+  std::vector<of::ControlEvent> events;
+  std::size_t busy_polls = 0;
+  std::uint64_t max_poll_bytes = 0;
+  for (int polls = 0; polls < 100; ++polls) {
+    const std::uint64_t before = source.stats().bytes;
+    poll_all(source, events);
+    max_poll_bytes = std::max(max_poll_bytes, source.stats().bytes - before);
+    if (source.idle()) break;
+    ++busy_polls;
+  }
+
+  EXPECT_TRUE(source.idle());
+  ASSERT_EQ(events.size(), lines);
+  EXPECT_EQ(source.stats().events, lines);
+  EXPECT_EQ(source.stats().bytes, text.size());
+  EXPECT_EQ(source.stats().lines_rejected, 0u);
+  EXPECT_LE(max_poll_bytes, kPollBudget);
+  EXPECT_GE(busy_polls, 4u) << "4 MiB at <= 1 MiB per poll";
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].ts != SimTime{1000 + static_cast<SimTime>(i)}) {
+      ++out_of_order;
+    }
+  }
+  EXPECT_EQ(out_of_order, 0u);
+  fs::remove_all(dir);
+}
+
 // --- SocketSource ----------------------------------------------------------
 
 void send_all(int fd, const std::string& text) {

@@ -336,6 +336,34 @@ TEST(MonitorManager, FaultIsOneTenantsProblem) {
   EXPECT_TRUE(names_bad) << "aggregate health must name the faulted tenant";
 }
 
+TEST(MonitorManager, FaultCountsEveryUnfedEventAsDropped) {
+  // The hook throws on the 4th event, in the middle of the first batch.
+  // Every accepted event the monitor never saw (the one that threw, the
+  // rest of its batch and the whole queue behind it) must be counted as
+  // dropped, inline and on the pool alike.
+  const CorpusFixture corpus("steady");
+  const std::size_t total = corpus.corpus_case.events.size();
+  ASSERT_GT(total, MonitorManager::kFeedBatch);
+  for (const int workers : {0, 2}) {
+    ManagerConfig config;
+    config.options = corpus.options();
+    config.workers = workers;
+    std::atomic<int> seen{0};
+    config.feed_hook = [&seen](const std::string&, const of::ControlEvent&) {
+      if (++seen > 3) throw std::runtime_error("injected shard failure");
+    };
+    MonitorManager manager(config);
+    manager.feed("bad", corpus.corpus_case.events);
+    manager.drain("bad");
+
+    const auto status = manager.status("bad");
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, ShardState::kFaulted) << "workers " << workers;
+    EXPECT_EQ(status->events, total) << "workers " << workers;
+    EXPECT_EQ(status->dropped, total - 3) << "workers " << workers;
+  }
+}
+
 TEST(MonitorManager, IdleEvictionLeavesAReadableTombstone) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;

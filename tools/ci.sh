@@ -2,19 +2,20 @@
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
 #   2. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
-#      rerun ctest, then rerun the ingest-sanitizer suites (ctest -L
-#      ingest) and the telemetry-plane suite (ctest -L http) so their
-#      verdicts are visible on their own in the transcript;
+#      rerun ctest, then rerun the ingest suites (sanitizer and log
+#      parser, ctest -L ingest) and the telemetry-plane suite (ctest -L
+#      http) so their verdicts are visible on their own in the transcript;
 #   3. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
 #      sampler/recorder/watchdog code paths PRs keep touching), plus the
-#      ingest legs: the sanitizer's unit and differential suites (ctest -L
-#      ingest), the golden-trace corpus (ctest -L corpus) and the
-#      seeded-corruption fuzz suites (ctest -L fuzz) — corrupted captures
-#      are exactly where out-of-range arithmetic would hide — the
-#      adversarial-scenario suites (ctest -L attack: attack generators,
-#      diagnosis refinement, determinism pins), and the serve/provenance
-#      suites, which previously only reran under ASan/TSan;
+#      ingest legs: the sanitizer's and the log parser's unit and
+#      differential suites (ctest -L ingest), the golden-trace corpus
+#      (ctest -L corpus) and the seeded-corruption fuzz suites (ctest -L
+#      fuzz) — corrupted captures are exactly where out-of-range
+#      arithmetic would hide — the adversarial-scenario suites (ctest -L
+#      attack: attack generators, diagnosis refinement, determinism
+#      pins), and the serve/provenance suites, which previously only
+#      reran under ASan/TSan;
 #   4. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
 #      rerun the concurrency-heavy suites (executor pool, parallel model
 #      build, monitor and incremental-model suites, obs layer), plus the
@@ -27,10 +28,12 @@
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   6. perfbench smoke: a short follow_clean run of perfbench/run.py (the
-#      benchmark of record, see perfbench/BENCHMARK.md). It replays every
-#      corpus capture through the live daemon path as a self-check before
-#      measuring; the leg fails unless the run reports "correct": true.
+#   6. perfbench smoke: a 2 s run of each perfbench/run.py workload (the
+#      benchmark of record, see perfbench/BENCHMARK.md): the file-tail,
+#      socket and offline paths all run the control-log parser. Each run
+#      replays every corpus capture through the live daemon path as a
+#      self-check before measuring and checks every verdict against its
+#      reference; the leg fails unless every run reports "correct": true.
 #   7. attack sweep: run bench/attack_sweep over the lab deployment and
 #      refresh BENCH_attack.json (gated on recall and false alarms).
 #
@@ -76,17 +79,19 @@ run_suite() {
 echo "== tier-1: build + ctest =="
 run_suite "$repo/build-ci"
 
-echo "== bench: perfbench follow_clean smoke (corpus self-check + live path) =="
 # run.py exits 0 whether or not the run was correct; the verdict is the
 # "correct" field of the JSON object on its last stdout line.
-perf_out="$(cd "$repo" && python3 perfbench/run.py --workload follow_clean \
-  --seconds 2 --trace 0)"
-printf '%s\n' "$perf_out"
-if ! printf '%s\n' "$perf_out" | tail -n 1 | python3 -c \
-    'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
-  echo "perfbench follow_clean: run not correct" >&2
-  exit 1
-fi
+for workload in follow_clean socket_corrupted_16t offline_diff; do
+  echo "== bench: perfbench $workload smoke (corpus self-check + verdicts) =="
+  perf_out="$(cd "$repo" && python3 perfbench/run.py --workload "$workload" \
+    --seconds 2 --trace 0)"
+  printf '%s\n' "$perf_out"
+  if ! printf '%s\n' "$perf_out" | tail -n 1 | python3 -c \
+      'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)'; then
+    echo "perfbench $workload: run not correct" >&2
+    exit 1
+  fi
+done
 
 echo "== bench: adversarial recall/false-alarm sweep (BENCH_attack.json) =="
 # Gated: nominal-intensity recall >= 0.9 with zero steady false alarms, or
@@ -102,8 +107,9 @@ if [[ "$skip_asan" -eq 0 ]]; then
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L 'corpus|fuzz'
   # The sanitizer's ring/heap reorder buffer indexes a circular buffer by
-  # hand; its unit and differential suites run instrumented here.
-  echo "== ASan: ingest sanitizer (ctest -L ingest) =="
+  # hand, and the log parser walks a raw cursor over each line; their unit
+  # and differential suites run instrumented here.
+  echo "== ASan: ingest sanitizer + log parser (ctest -L ingest) =="
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L ingest
   echo "== ASan: telemetry plane (ctest -L http) =="
@@ -127,9 +133,10 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
   echo "== UBSan: golden corpus + corruption fuzz (ctest -L corpus/fuzz) =="
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L 'corpus|fuzz'
-  # Watermark saturation next to the int64 minimum and the identity hash's
-  # shifts are where signed/shift UB would hide.
-  echo "== UBSan: ingest sanitizer (ctest -L ingest) =="
+  # Watermark saturation next to the int64 minimum, the identity hash's
+  # shifts and the parser's overflow-checked digit loop are where
+  # signed/shift UB would hide.
+  echo "== UBSan: ingest sanitizer + log parser (ctest -L ingest) =="
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L ingest
   echo "== UBSan: adversarial scenario suites (ctest -L attack) =="
