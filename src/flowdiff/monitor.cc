@@ -83,8 +83,7 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
     : config_(std::move(config)),
       flowdiff_(config_.flowdiff),
       ingest_sink_([this](const of::ControlEvent& e) { ingest_event(e); }),
-      feed_wall_(std::chrono::steady_clock::now()),
-      watchdog_(config_.watchdog) {
+      feed_wall_(std::chrono::steady_clock::now()) {
   if (config_.sanitize) sanitizer_.emplace(config_.ingest);
   // Built from the Modeler's own config (post special-node resolution) and
   // its executor, so the incremental finalize fans out on the same pool and
@@ -182,10 +181,6 @@ ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
 }
 
-std::uint64_t SlidingMonitor::watchdog_alerts() const {
-  return watchdog_.alerts();
-}
-
 MonitorSnapshot SlidingMonitor::snapshot() const {
   MonitorSnapshot snap;
   const std::lock_guard<std::mutex> lock(mu_);
@@ -202,7 +197,6 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
 
 MonitorHealth SlidingMonitor::health() const {
   MonitorHealth health;
-  health.watchdog_alerts = watchdog_.alerts();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     health.windows = windows_;
@@ -211,11 +205,6 @@ MonitorHealth SlidingMonitor::health() const {
     health.quality = quality_total_;
   }
   health.stream_degraded = health.quality.degraded();
-  if (health.watchdog_alerts > 0) {
-    health.reasons.push_back(
-        "watchdog filed " + std::to_string(health.watchdog_alerts) +
-        " pipeline degradation warning(s)");
-  }
   if (health.stream_degraded) {
     health.reasons.push_back("capture stream degraded (" +
                              health.quality.summary() + ")");
@@ -452,11 +441,9 @@ void SlidingMonitor::finish_audit(
   metrics().audits_dropped.set(static_cast<std::int64_t>(dropped));
 
   // Per-window telemetry cadence: snapshot every registered metric at the
-  // window's virtual end time, then let the watchdog look at the newest
-  // points of the pipeline's own series.
+  // window's virtual end time.
   if (config_.sample_metrics && obs::enabled()) {
     obs::Sampler::global().sample(window_end_s);
-    if (config_.self_watchdog) watchdog_.check(obs::Sampler::global());
   }
 }
 

@@ -20,7 +20,6 @@
 #include "flowdiff/incremental_model.h"
 #include "flowdiff/provenance.h"
 #include "ingest/sanitizer.h"
-#include "obs/watchdog.h"
 
 namespace flowdiff::core {
 
@@ -39,14 +38,6 @@ struct MonitorConfig {
   /// Snapshot the metrics registry into obs::Sampler::global() once per
   /// closed window (virtual-time cadence; no-op while obs is disabled).
   bool sample_metrics = true;
-  /// Run the EWMA watchdog over the pipeline's own series after each
-  /// sample and file flight-recorder warnings when the diagnoser itself
-  /// degrades.
-  bool self_watchdog = true;
-  /// Self-watchdog tuning (EWMA weight, warmup, rules); empty rules select
-  /// obs::default_pipeline_rules(). Tests use this to induce deterministic
-  /// watchdog alerts (and the /healthz 503 flip).
-  obs::WatchdogConfig watchdog;
   /// Route feed() through an ingest::StreamSanitizer: raw capture
   /// arrivals may be out of order, duplicated, or truncated; the monitor
   /// then windows the *sanitized* stream, stamps each WindowAudit with its
@@ -121,14 +112,15 @@ struct MonitorSnapshot {
 };
 
 /// Live self-assessment of the monitor, the /healthz contract: healthy
-/// until the watchdog files a warning or the stream shows hard corruption
-/// evidence / suppressed alarms. Target-system alarms do NOT flip health —
+/// until the stream shows hard corruption evidence or changes are
+/// suppressed as low confidence. Both follow from the input stream and the
+/// configuration alone, never from wall-clock cost, so the same stream
+/// always gets the same verdict. Target-system alarms do NOT flip health —
 /// an alarming monitor is doing its job; a degraded one cannot be trusted
 /// to.
 struct MonitorHealth {
   bool healthy = true;
   std::vector<std::string> reasons;  ///< Why unhealthy; empty when healthy.
-  std::uint64_t watchdog_alerts = 0;
   std::size_t windows = 0;
   std::size_t alarms = 0;
   /// Unknown changes withheld across all windows (degraded stream).
@@ -211,8 +203,6 @@ class SlidingMonitor {
   [[nodiscard]] MonitorSnapshot snapshot() const;
   /// Live health verdict (see MonitorHealth); safe from any thread.
   [[nodiscard]] MonitorHealth health() const;
-  /// Alerts the self-watchdog has filed so far; safe from any thread.
-  [[nodiscard]] std::uint64_t watchdog_alerts() const;
 
  private:
   /// feed() after the sanitizer (or directly, when sanitize is off).
@@ -269,7 +259,6 @@ class SlidingMonitor {
   /// every closed window, and unknown changes withheld as low-confidence.
   ingest::StreamQuality quality_total_;
   std::uint64_t suppressed_total_ = 0;
-  obs::Watchdog watchdog_;
 
   /// Guards the committed results (baseline, alarms, audits, provenance,
   /// counters) against concurrent snapshot()/health() scrapes. The feeding

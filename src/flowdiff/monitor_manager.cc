@@ -357,7 +357,6 @@ MonitorHealth MonitorManager::aggregate_health() const {
     if (!shard_health) continue;
     aggregate.windows += shard_health->windows;
     aggregate.alarms += shard_health->alarms;
-    aggregate.watchdog_alerts += shard_health->watchdog_alerts;
     aggregate.suppressed_changes += shard_health->suppressed_changes;
     aggregate.stream_degraded =
         aggregate.stream_degraded || shard_health->stream_degraded;

@@ -226,7 +226,6 @@ std::string render_health_json(const MonitorHealth& health) {
     out += '"' + json_escape(health.reasons[i]) + '"';
   }
   out += "]";
-  out += ",\"watchdog_alerts\":" + std::to_string(health.watchdog_alerts);
   out += ",\"windows\":" + std::to_string(health.windows);
   out += ",\"alarms\":" + std::to_string(health.alarms);
   out += ",\"suppressed_changes\":" + std::to_string(health.suppressed_changes);

@@ -98,8 +98,10 @@ class TelemetryPlane {
   obs::HttpServer server_;
 };
 
-/// The /healthz JSON body: the MonitorHealth verdict plus watchdog and
-/// sanitizer drop counters. Stable keys; tests and scripts parse it.
+/// The /healthz JSON body: the MonitorHealth verdict plus the window,
+/// alarm and suppression counts and the sanitizer's tallies. Every field
+/// follows from the input stream and the configuration. Stable keys;
+/// tests and scripts parse it.
 [[nodiscard]] std::string render_health_json(const MonitorHealth& health);
 
 /// The /audits trail as CSV: one row per retained window with quality and

@@ -2,12 +2,12 @@
 //
 // Components that notice something worth remembering (the event queue
 // crossing a depth watermark, the controller dropping a routable-less
-// PacketIn, a fault injector firing, the monitor raising an alarm, the
-// watchdog seeing the pipeline itself degrade) append an event; the ring
-// keeps the newest `capacity` of them, so a week-long run still holds the
-// recent history when something finally goes wrong. The CLI folds the tail
-// into `flowdiff report`, and install_abnormal_exit_dump() wires a
-// last-gasp dump to stderr on std::terminate or a fatal signal.
+// PacketIn, a fault injector firing, the monitor raising an alarm) append
+// an event; the ring keeps the newest `capacity` of them, so a week-long
+// run still holds the recent history when something finally goes wrong.
+// The CLI folds the tail into `flowdiff report`, and
+// install_abnormal_exit_dump() wires a last-gasp dump to stderr on
+// std::terminate or a fatal signal.
 //
 // The fatal-signal path is async-signal-safe: record() pre-renders every
 // event into a fixed ring of flat char lines, and the handler (installed

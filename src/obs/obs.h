@@ -1,7 +1,7 @@
 // Umbrella header for the observability layer: metrics registry, tracing
-// spans, exporters, time-series sampling, the flight recorder, and the
-// self-monitoring watchdog. Instrumented modules include only what they
-// use; consumers (CLI, tests) can take the whole thing.
+// spans, exporters, time-series sampling, and the flight recorder.
+// Instrumented modules include only what they use; consumers (CLI, tests)
+// can take the whole thing.
 #pragma once
 
 #include "obs/executor_metrics.h"  // IWYU pragma: export
@@ -10,4 +10,3 @@
 #include "obs/metrics.h"          // IWYU pragma: export
 #include "obs/timeseries.h"       // IWYU pragma: export
 #include "obs/trace.h"            // IWYU pragma: export
-#include "obs/watchdog.h"         // IWYU pragma: export

@@ -136,7 +136,7 @@ void Sampler::sample(double t) {
     // A zero-count snapshot (registered histogram, idle window) has no
     // mean or quantiles; appending the 0.0 placeholders the snapshot
     // arithmetic falls back to would fabricate data points that drag the
-    // derived series (and any EWMA watchdog over them) toward zero.
+    // derived series toward zero.
     if (h.count == 0) continue;
     series_locked(name + ".mean").append(t, h.mean());
     series_locked(name + ".p50").append(t, h.quantile(0.5));

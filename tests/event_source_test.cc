@@ -253,10 +253,11 @@ void send_all(int fd, const std::string& text) {
 /// bytes race the test thread; poll() never blocks).
 void poll_until(SocketSource& source, std::vector<of::ControlEvent>& out,
                 std::size_t want) {
-  for (int i = 0; i < 500 && out.size() < want; ++i) {
+  flowdiff::testing::eventually([&] {
+    if (out.size() >= want) return true;
     source.poll(out);
-    if (out.size() < want) ::usleep(2000);
-  }
+    return out.size() >= want;
+  });
 }
 
 TEST(SocketSource, AcceptsAndParsesSplitLines) {
@@ -292,10 +293,10 @@ TEST(SocketSource, DisconnectFlushesFinalUnterminatedLine) {
   std::vector<of::ControlEvent> events;
   poll_until(source, events, 1);
   ASSERT_EQ(events.size(), 1u);
-  for (int i = 0; i < 500 && source.stats().disconnects == 0; ++i) {
+  flowdiff::testing::eventually([&] {
     source.poll(events);
-    ::usleep(2000);
-  }
+    return source.stats().disconnects > 0;
+  });
   EXPECT_EQ(source.stats().disconnects, 1u);
   EXPECT_TRUE(source.idle());
 }
@@ -388,16 +389,12 @@ TEST(SocketSource, LargeBacklogComesBackOverSeveralBoundedPolls) {
   std::vector<of::ControlEvent> events;
   std::size_t productive_polls = 0;
   std::uint64_t max_poll_bytes = 0;
-  for (int idle = 0; idle < 2000 && events.size() < lines;) {
+  flowdiff::testing::eventually([&] {
     const std::uint64_t before = source->stats().bytes;
-    if (source->poll(events) > 0) {
-      ++productive_polls;
-    } else {
-      ++idle;
-      ::usleep(1000);
-    }
+    if (source->poll(events) > 0) ++productive_polls;
     max_poll_bytes = std::max(max_poll_bytes, source->stats().bytes - before);
-  }
+    return events.size() >= lines;
+  });
   const SourceStats stats = source->stats();
   source.reset();  // Unblocks the writer if the test bailed out early.
   writer.join();

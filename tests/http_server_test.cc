@@ -1,8 +1,8 @@
 // Live telemetry plane (obs/http_server.* + flowdiff/telemetry.*): server
 // smoke and protocol edges (404/405/400/431, connection cap, request
 // timeout), the six endpoints over a real monitor run, the /healthz 503
-// flips (induced watchdog warning; degraded capture stream), and the CLI's
-// --listen graceful-shutdown path via fork/exec of the real binary.
+// flip on a degraded capture stream, and the CLI's --listen
+// graceful-shutdown path via fork/exec of the real binary.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -30,6 +30,7 @@ namespace flowdiff {
 namespace {
 
 using flowdiff::testing::HttpResult;
+using flowdiff::testing::eventually;
 using flowdiff::testing::http_connect;
 using flowdiff::testing::http_get;
 using flowdiff::testing::http_raw;
@@ -151,11 +152,10 @@ TEST(HttpServer, ConnectionCapAnswers503) {
   // The idle connection is admitted asynchronously; poll until the rejected
   // counter proves a second connection went over the cap.
   std::optional<HttpResult> capped;
-  for (int attempt = 0; attempt < 50; ++attempt) {
+  eventually([&] {
     capped = http_get(server.port(), "/");
-    if (capped && capped->status == 503) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+    return capped && capped->status == 503;
+  });
   ASSERT_TRUE(capped.has_value());
   EXPECT_EQ(capped->status, 503);
   EXPECT_GE(server.requests_rejected(), 1u);
@@ -163,11 +163,10 @@ TEST(HttpServer, ConnectionCapAnswers503) {
 
   // With the slot free again the same request succeeds.
   std::optional<HttpResult> after;
-  for (int attempt = 0; attempt < 50; ++attempt) {
+  eventually([&] {
     after = http_get(server.port(), "/");
-    if (after && after->status == 200) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+    return after && after->status == 200;
+  });
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->status, 200);
 }
@@ -331,32 +330,6 @@ TEST_F(TelemetryPlaneTest, MonitorlessPlaneAnswers503OnMonitorEndpoints) {
   }
 }
 
-TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnWatchdogWarning) {
-  obs::set_enabled(true);
-  core::MonitorConfig config = small_monitor_config();
-  config.sample_metrics = true;
-  // A rule that any sampled value trips: the first closed window files a
-  // deterministic watchdog warning, which is the /healthz contract's
-  // "diagnoser degraded" condition.
-  config.watchdog.warmup = 0;
-  config.watchdog.rules = {{"monitor.windows", 0.0, 0.0}};
-  core::SlidingMonitor monitor(config);
-  core::TelemetryPlane plane;
-  plane.attach(&monitor);
-  ASSERT_TRUE(plane.start()) << plane.last_error();
-
-  monitor.feed(capture());
-  monitor.flush();
-  ASSERT_GT(monitor.watchdog_alerts(), 0u);
-
-  const auto health = http_get(plane.port(), "/healthz");
-  ASSERT_TRUE(health.has_value());
-  EXPECT_EQ(health->status, 503);
-  EXPECT_NE(health->body.find("\"healthy\":false"), std::string::npos);
-  EXPECT_NE(health->body.find("watchdog filed"), std::string::npos);
-  EXPECT_NE(health->body.find("\"watchdog_alerts\":"), std::string::npos);
-}
-
 TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnDegradedStream) {
   core::MonitorConfig config = small_monitor_config();
   config.sanitize = true;
@@ -445,14 +418,15 @@ TEST(HttpServerCli, ListenRunServesAndShutsDownGracefully) {
   ASSERT_NE(port, 0) << "child never announced its telemetry endpoint";
 
   // The plane must be serving while the run is live.
+  // The capture is clean, so its verdict is healthy however loaded the
+  // host is.
   std::optional<HttpResult> health;
-  for (int attempt = 0; attempt < 100; ++attempt) {
+  eventually([&] {
     health = http_get(port, "/healthz");
-    if (health) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+    return health.has_value();
+  });
   ASSERT_TRUE(health.has_value());
-  EXPECT_TRUE(health->status == 200 || health->status == 503);
+  EXPECT_EQ(health->status, 200) << health->body;
   const auto metrics = http_get(port, "/metrics");
   ASSERT_TRUE(metrics.has_value());
   EXPECT_EQ(metrics->status, 200);

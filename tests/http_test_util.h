@@ -1,7 +1,8 @@
 // Minimal raw-socket HTTP client for the telemetry-plane tests: no external
 // dependency, blocking I/O, connection-close semantics (which is exactly
 // the contract obs::HttpServer implements). Intentionally separate from the
-// server code so the tests exercise real bytes on a real socket.
+// server code so the tests exercise real bytes on a real socket. Also the
+// deadline-bounded wait the socket tests share.
 #pragma once
 
 #include <arpa/inet.h>
@@ -9,10 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 
 namespace flowdiff::testing {
 
@@ -81,6 +84,21 @@ inline std::optional<HttpResult> http_get(std::uint16_t port,
   return http_raw(port, method + " " + target +
                             " HTTP/1.1\r\nHost: test\r\n"
                             "Connection: close\r\n\r\n");
+}
+
+/// Calls `done` every few milliseconds until it returns true, giving up
+/// after 30 s of steady-clock time; returns done()'s last answer. Waits are
+/// bounded by a deadline, never by a try count, so a loaded host slows a
+/// test down instead of failing it.
+template <typename Done>
+bool eventually(Done&& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
 }
 
 }  // namespace flowdiff::testing

@@ -1,11 +1,12 @@
 // MonitorManager: per-tenant shard lifecycle, demux determinism (pinned
 // against the single-tenant golden corpus), round-boundary dispatch on a
-// worker pool, fault isolation, idle eviction tombstones, and aggregate
-// health.
+// worker pool, fault isolation, idle eviction tombstones, aggregate
+// health, and a /healthz verdict that depends on the stream alone.
 #include "flowdiff/monitor_manager.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,6 +20,9 @@
 #include "faults/corruptor.h"
 #include "flowdiff/monitor.h"
 #include "flowdiff/provenance.h"
+#include "flowdiff/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "openflow/log_io.h"
 
 namespace flowdiff::core {
@@ -425,6 +429,75 @@ TEST(MonitorManager, AggregateHealthSumsShards) {
   const MonitorHealth aggregate = manager.aggregate_health();
   EXPECT_EQ(aggregate.windows, clean->windows + slow->windows);
   EXPECT_EQ(aggregate.alarms, clean->alarms + slow->alarms);
+}
+
+TEST(MonitorManager, HealthVerdictDependsOnlyOnTheStream) {
+  // /healthz judges the capture, never the host running the diagnosis:
+  // every corpus case renders one byte-identical health body whether obs
+  // (and with it the per-window global Sampler) is on or off, and whether
+  // a lone SlidingMonitor or a MonitorManager shard at 0 or 2 workers
+  // runs it.
+  std::vector<std::string> stems;
+  for (const auto& entry : fs::directory_iterator(FLOWDIFF_CORPUS_DIR)) {
+    if (entry.path().extension() == ".log") {
+      stems.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(stems.begin(), stems.end());
+  ASSERT_GE(stems.size(), 7u);
+
+  for (const auto& stem : stems) {
+    SCOPED_TRACE(stem);
+    const CorpusFixture corpus(stem);
+    MonitorConfig monitor_config = corpus.corpus_case.config;
+    monitor_config.sample_metrics = true;  // As every serve shard runs.
+    std::vector<std::string> bodies;
+    MonitorHealth verdict;
+    for (const bool obs_on : {true, false}) {
+      obs::set_enabled(obs_on);
+      SlidingMonitor monitor(monitor_config);
+      monitor.feed(corpus.corpus_case.events);
+      monitor.flush();
+      verdict = monitor.health();
+      bodies.push_back(render_health_json(verdict));
+    }
+    obs::set_enabled(true);
+    for (const int workers : {0, 2}) {
+      ManagerConfig config;
+      config.options = corpus.options();
+      config.workers = workers;
+      MonitorManager manager(config);
+      ASSERT_TRUE(manager.feed(stem, corpus.corpus_case.events));
+      manager.stop(stem);
+      const auto health = manager.health(stem);
+      ASSERT_TRUE(health.has_value());
+      bodies.push_back(render_health_json(*health));
+    }
+    obs::set_enabled(false);
+    EXPECT_FALSE(obs::Sampler::global().series().empty())
+        << "the per-window sample never ran; the obs-on runs lost their point";
+    obs::Registry::global().reset();
+    obs::Sampler::global().clear();
+
+    EXPECT_EQ(bodies[1], bodies[0]) << "obs off vs on";
+    EXPECT_EQ(bodies[2], bodies[0]) << "manager workers=0 vs monitor";
+    EXPECT_EQ(bodies[3], bodies[0]) << "manager workers=2 vs monitor";
+
+    if (stem == "corrupted_slowdown") {
+      ASSERT_TRUE(corpus.corpus_case.config.sanitize);
+      EXPECT_FALSE(verdict.healthy);
+      ASSERT_EQ(verdict.reasons.size(), 2u) << bodies[0];
+      EXPECT_EQ(verdict.reasons[0].rfind("capture stream degraded", 0), 0u)
+          << verdict.reasons[0];
+      EXPECT_NE(
+          verdict.reasons[1].find("change(s) suppressed as low confidence"),
+          std::string::npos)
+          << verdict.reasons[1];
+    } else {
+      EXPECT_TRUE(verdict.healthy) << bodies[0];
+      EXPECT_TRUE(verdict.reasons.empty()) << bodies[0];
+    }
+  }
 }
 
 }  // namespace

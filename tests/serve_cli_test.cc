@@ -28,6 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using flowdiff::testing::HttpResult;
+using flowdiff::testing::eventually;
 using flowdiff::testing::http_get;
 
 struct Corpus {
@@ -216,12 +217,12 @@ void send_text(std::uint16_t port, const std::string& text) {
 
 std::optional<HttpResult> get_with_retry(std::uint16_t port,
                                          const std::string& target) {
-  for (int attempt = 0; attempt < 150; ++attempt) {
-    auto result = http_get(port, target);
-    if (result) return result;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return std::nullopt;
+  std::optional<HttpResult> result;
+  eventually([&] {
+    result = http_get(port, target);
+    return result.has_value();
+  });
+  return result;
 }
 
 TEST(ServeCli, SingleTenantFollowIsByteIdenticalToMonitorGolden) {
@@ -308,20 +309,16 @@ TEST(ServeCli, FileAndSocketTenantsDemuxServeTelemetryAndFlushOnSigterm) {
   // accepted-event counts).
   const std::string want =
       "\"events\":" + std::to_string(corpus.corpus_case.events.size());
-  bool both_fed = false;
-  for (int attempt = 0; attempt < 500 && !both_fed; ++attempt) {
-    const auto tenants = get_with_retry(plane_port, "/tenants");
-    ASSERT_TRUE(tenants.has_value());
+  const bool both_fed = eventually([&] {
+    const auto tenants = http_get(plane_port, "/tenants");
+    if (!tenants) return false;
     std::size_t count = 0;
     for (std::size_t at = tenants->body.find(want);
          at != std::string::npos; at = tenants->body.find(want, at + 1)) {
       ++count;
     }
-    both_fed = count >= 2;
-    if (!both_fed) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
+    return count >= 2;
+  });
   ASSERT_TRUE(both_fed) << "shards never ingested the full capture";
 
   // Per-tenant routes answer while the daemon is live.

@@ -1,6 +1,6 @@
 // Time-series sampling (src/obs/timeseries.*): ring-buffer compaction
-// invariants, sampler-derived counter/histogram series, exporter
-// round-trips, and the EWMA watchdog over sampled series.
+// invariants, sampler-derived counter/histogram series, and exporter
+// round-trips.
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
 
 namespace flowdiff::obs {
 namespace {
@@ -151,8 +150,8 @@ TEST_F(TimeseriesTest, SamplerDerivesHistogramStats) {
 TEST_F(TimeseriesTest, IdleHistogramWindowAppendsNoDerivedGarbage) {
   // A registered-but-idle histogram must not fabricate .mean/.p50/.p99
   // rows: a zero-count snapshot has no such statistics, and the 0.0
-  // placeholders would drag the derived series (and the watchdog reading
-  // them) toward zero on every idle window.
+  // placeholders would drag the derived series toward zero on every idle
+  // window.
   Registry::global().histogram("ts.idle_ms", 10.0);
   Sampler sampler;
   sampler.sample(1.0);
@@ -280,62 +279,6 @@ TEST_F(TimeseriesTest, SeriesCsvHasHeaderAndRows) {
   const std::string csv = render_series_csv(sampler);
   EXPECT_EQ(csv.rfind("series,t_begin,t_end,mean,min,max,count\n", 0), 0u);
   EXPECT_NE(csv.find("\nts.csv,"), std::string::npos);
-}
-
-TEST_F(TimeseriesTest, WatchdogAlertsOnSpikeAfterWarmup) {
-  WatchdogConfig config;
-  config.warmup = 3;
-  config.rules = {{"ts.depth", 3.0, 10.0}};
-  Watchdog watchdog(config);
-
-  // Warmup: even a large value cannot alert yet.
-  EXPECT_FALSE(watchdog.observe("ts.depth", 0.0, 100.0));
-  EXPECT_FALSE(watchdog.observe("ts.depth", 1.0, 100.0));
-  EXPECT_FALSE(watchdog.observe("ts.depth", 2.0, 100.0));
-  // Steady state stays quiet.
-  EXPECT_FALSE(watchdog.observe("ts.depth", 3.0, 110.0));
-  // A >3x spike past warmup fires and lands in the flight recorder.
-  EXPECT_TRUE(watchdog.observe("ts.depth", 4.0, 1000.0));
-  EXPECT_EQ(watchdog.alerts(), 1u);
-  const auto warnings = FlightRecorder::global().events(Severity::kWarn);
-  ASSERT_FALSE(warnings.empty());
-  EXPECT_EQ(warnings.back().component, "watchdog");
-  EXPECT_NE(warnings.back().message.find("ts.depth"), std::string::npos);
-}
-
-TEST_F(TimeseriesTest, WatchdogIgnoresSmallAbsoluteValues) {
-  WatchdogConfig config;
-  config.warmup = 1;
-  config.rules = {{"ts.tiny", 2.0, 50.0}};
-  Watchdog watchdog(config);
-  EXPECT_FALSE(watchdog.observe("ts.tiny", 0.0, 1.0));
-  // 10x the EWMA but under the absolute floor: noise, not an alert.
-  EXPECT_FALSE(watchdog.observe("ts.tiny", 1.0, 10.0));
-  EXPECT_EQ(watchdog.alerts(), 0u);
-}
-
-TEST_F(TimeseriesTest, WatchdogChecksSamplerSeriesOncePerSample) {
-  Gauge& depth = Registry::global().gauge("sim.queue.depth");
-  WatchdogConfig config;
-  config.warmup = 2;
-  config.rules = {{"sim.queue.depth", 3.0, 64.0}};
-  Watchdog watchdog(config);
-  Sampler sampler;
-
-  depth.set(100);
-  sampler.sample(1.0);
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-  // Re-checking without a new sample must not double-count.
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-
-  depth.set(110);
-  sampler.sample(2.0);
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-
-  depth.set(5000);
-  sampler.sample(3.0);
-  EXPECT_EQ(watchdog.check(sampler), 1u);
-  EXPECT_EQ(watchdog.alerts(), 1u);
 }
 
 }  // namespace

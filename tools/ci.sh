@@ -1,13 +1,25 @@
 #!/usr/bin/env bash
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
-#   2. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
+#   2. loaded host: rerun the http/serve/provenance/incremental suites 20
+#      times next to one `yes` CPU hog per core. Their verdicts (/healthz,
+#      transcripts, provenance) are functions of the input stream, so a
+#      slow host may only slow them down, never flip them;
+#   3. perfbench smoke: a 2 s run of each perfbench/run.py workload (the
+#      benchmark of record, see perfbench/BENCHMARK.md): the file-tail,
+#      socket and offline paths all run the control-log parser. Each run
+#      replays every corpus capture through the live daemon path as a
+#      self-check before measuring and checks every verdict against its
+#      reference; the leg fails unless every run reports "correct": true;
+#   4. attack sweep: run bench/attack_sweep over the lab deployment and
+#      refresh BENCH_attack.json (gated on recall and false alarms);
+#   5. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
 #      rerun ctest, then rerun the ingest suites (sanitizer and log
 #      parser, ctest -L ingest) and the telemetry-plane suite (ctest -L
 #      http) so their verdicts are visible on their own in the transcript;
-#   3. UndefinedBehaviorSanitizer pass: rebuild with
+#   6. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
-#      sampler/recorder/watchdog code paths PRs keep touching), plus the
+#      sampler/recorder code paths PRs keep touching), plus the
 #      ingest legs: the sanitizer's and the log parser's unit and
 #      differential suites (ctest -L ingest), the golden-trace corpus
 #      (ctest -L corpus) and the seeded-corruption fuzz suites (ctest -L
@@ -16,7 +28,10 @@
 #      attack: attack generators, diagnosis refinement, determinism
 #      pins), and the serve/provenance suites, which previously only
 #      reran under ASan/TSan;
-#   4. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
+#   7. corruption sweep: run bench/corruption_sweep in the UBSan tree —
+#      diagnosis accuracy vs corruption rate, end to end under the
+#      sanitizer;
+#   8. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
 #      rerun the concurrency-heavy suites (executor pool, parallel model
 #      build, monitor and incremental-model suites, obs layer), plus the
 #      http-labeled telemetry-plane suite — scraping a live monitor is the
@@ -24,18 +39,7 @@
 #      provenance-labeled suites (provenance records are built on the
 #      feeding thread and read from the serve thread and explain CLI), and
 #      the serve-labeled daemon suites: MonitorManager schedules per-tenant
-#      shards across a worker pool while the telemetry plane reads them;
-#   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
-#      diagnosis accuracy vs corruption rate, end to end under the
-#      sanitizer;
-#   6. perfbench smoke: a 2 s run of each perfbench/run.py workload (the
-#      benchmark of record, see perfbench/BENCHMARK.md): the file-tail,
-#      socket and offline paths all run the control-log parser. Each run
-#      replays every corpus capture through the live daemon path as a
-#      self-check before measuring and checks every verdict against its
-#      reference; the leg fails unless every run reports "correct": true.
-#   7. attack sweep: run bench/attack_sweep over the lab deployment and
-#      refresh BENCH_attack.json (gated on recall and false alarms).
+#      shards across a worker pool while the telemetry plane reads them.
 #
 # Usage: tools/ci.sh [--skip-asan] [--skip-ubsan] [--skip-tsan]
 # Run from anywhere; build trees land in <repo>/build-ci{,-asan,-ubsan,-tsan}.
@@ -78,6 +82,27 @@ run_suite() {
 
 echo "== tier-1: build + ctest =="
 run_suite "$repo/build-ci"
+
+echo "== loaded host: ctest -L http|serve|provenance|incremental x20 next to $jobs CPU hogs =="
+# Each hog is bounded by timeout in case this script dies before the trap
+# runs; the EXIT trap stops them on every path out, a failing ctest included.
+hogs=()
+stop_hogs() {
+  if ((${#hogs[@]} > 0)); then
+    kill "${hogs[@]}" 2>/dev/null || true
+    wait "${hogs[@]}" 2>/dev/null || true
+  fi
+  hogs=()
+}
+trap stop_hogs EXIT
+for ((i = 0; i < jobs; ++i)); do
+  timeout 1800 yes >/dev/null &
+  hogs+=("$!")
+done
+ctest --test-dir "$repo/build-ci" --output-on-failure -j "$jobs" \
+  --no-tests=error --repeat until-fail:20 -L 'http|serve|provenance|incremental'
+stop_hogs
+trap - EXIT
 
 # run.py exits 0 whether or not the run was correct; the verdict is the
 # "correct" field of the JSON object on its last stdout line.
