@@ -7,7 +7,7 @@
 // toward recall only when it alarms AND the dependency-matrix diagnosis
 // ranks the matching adversarial class first; any alarm on an interleaved
 // steady window is a false alarm. Detection latency comes from the alarm
-// provenance plane's stage clock (newest-event arrival -> verdict).
+// provenance plane's stage clock (window processing start -> verdict).
 //
 // The nominal row (intensity 1.0, the committed corpus setting) is a gate:
 // recall must be >= 0.9 with zero false alarms, or the bench exits
@@ -123,7 +123,9 @@ struct SweepResult {
   std::size_t recalled = 0;        ///< Alarmed with the right class on top.
   std::size_t steady_windows = 0;
   std::size_t false_alarms = 0;
-  double mean_detect_ms = 0.0;     ///< Provenance total over recalled wins.
+  /// Mean provenance total_ms (close -> verdict wall time) over recalled
+  /// windows; how long events waited before the close is not included.
+  double mean_detect_ms = 0.0;
 };
 
 SweepResult sweep_one(Family family, double intensity, std::size_t trials) {

@@ -28,24 +28,14 @@ struct MonitorMetrics {
       obs::Registry::global().histogram("monitor.events_per_window", 100.0);
   obs::Gauge& audits_dropped =
       obs::Registry::global().gauge("monitor.audits_dropped");
-  // Detection-latency stages (see StageLatency in provenance.h): the
-  // wall-clock path from the window's newest event arriving at feed() to
-  // the monitor committing its verdict.
-  obs::LatencyHistogram& latency_ingest =
-      obs::Registry::global().histogram("monitor.latency.ingest_ms", 5.0);
-  obs::LatencyHistogram& latency_queue =
-      obs::Registry::global().histogram("monitor.latency.queue_ms", 1.0);
+  // Processing-latency stages (see StageLatency in provenance.h): the
+  // wall-clock path from a closed window's processing start to its verdict.
   obs::LatencyHistogram& latency_model =
       obs::Registry::global().histogram("monitor.latency.model_ms", 1.0);
   obs::LatencyHistogram& latency_diff =
       obs::Registry::global().histogram("monitor.latency.diff_ms", 1.0);
   obs::LatencyHistogram& latency_decide =
       obs::Registry::global().histogram("monitor.latency.decide_ms", 0.5);
-  /// End-to-end newest-event -> verdict, observed for alarmed windows only
-  /// (the p50/p99 the throughput bench reports as detection latency).
-  obs::LatencyHistogram& latency_event_to_alarm =
-      obs::Registry::global().histogram("monitor.latency.event_to_alarm_ms",
-                                        5.0);
   /// How far the sanitizer's release watermark trails its newest arrival
   /// (µs of stream time buffered for reordering; 0 without a sanitizer).
   obs::Gauge& watermark_lag_us =
@@ -82,8 +72,7 @@ std::string family_breakdown(const std::vector<Change>& changes) {
 SlidingMonitor::SlidingMonitor(MonitorConfig config)
     : config_(std::move(config)),
       flowdiff_(config_.flowdiff),
-      ingest_sink_([this](const of::ControlEvent& e) { ingest_event(e); }),
-      feed_wall_(std::chrono::steady_clock::now()) {
+      ingest_sink_([this](const of::ControlEvent& e) { ingest_event(e); }) {
   if (config_.sanitize) sanitizer_.emplace(config_.ingest);
   // Built from the Modeler's own config (post special-node resolution) and
   // its executor, so the incremental finalize fans out on the same pool and
@@ -98,7 +87,6 @@ SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
     : SlidingMonitor(options.monitor_config()) {}
 
 void SlidingMonitor::feed(const of::ControlEvent& event) {
-  feed_wall_ = std::chrono::steady_clock::now();
   if (!sanitizer_) {
     ingest_event(event);
     return;
@@ -124,9 +112,7 @@ void SlidingMonitor::feed(const of::ControlLog& log) { feed(log.events()); }
 
 void SlidingMonitor::feed(const std::vector<of::ControlEvent>& events) {
   // Batched fast path: resolve the sanitizer branch once and reuse the
-  // prebuilt sink, instead of paying both per event. One arrival stamp
-  // per batch keeps the hot path free of per-event clock reads.
-  feed_wall_ = std::chrono::steady_clock::now();
+  // prebuilt sink, instead of paying both per event.
   if (sanitizer_) {
     sanitizer_->push(events, ingest_sink_);
     return;
@@ -219,7 +205,6 @@ MonitorHealth SlidingMonitor::health() const {
 }
 
 void SlidingMonitor::close_window(SimTime window_end) {
-  const auto close_wall = std::chrono::steady_clock::now();
   const SimTime begin = window_start_;
   window_start_ = window_end;
   // Window attribution: counters accumulated while this window was open.
@@ -236,25 +221,24 @@ void SlidingMonitor::close_window(SimTime window_end) {
     quality_total_ += quality;
   }
   if (current_.empty()) return;  // Idle window: nothing to model.
-  process_window(begin, window_end, quality, close_wall);
+  process_window(begin, window_end, quality);
   current_.clear();
   if (inc_) inc_state_.reset();
 }
 
-void SlidingMonitor::process_window(
-    SimTime begin, SimTime window_end, const ingest::StreamQuality& quality,
-    std::chrono::steady_clock::time_point close_wall) {
+void SlidingMonitor::process_window(SimTime begin, SimTime window_end,
+                                    const ingest::StreamQuality& quality) {
   const obs::Span span("monitor/window");
+  // The window's four clock reads: processing start, model built, diff
+  // done, verdict decided. Nothing upstream of the close is stamped.
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_ms = [](std::chrono::steady_clock::time_point from,
                           std::chrono::steady_clock::time_point to) {
     const std::chrono::duration<double, std::milli> d = to - from;
-    return d.count() < 0.0 ? 0.0 : d.count();
+    return d.count();
   };
   const of::ControlLog& window_log = current_;
   StageLatency latency;
-  latency.ingest_ms = wall_ms(feed_wall_, close_wall);
-  latency.queue_ms = wall_ms(close_wall, wall_start);
   WindowAudit audit;
   audit.window_begin = begin;
   audit.window_end = window_end;
@@ -274,8 +258,6 @@ void SlidingMonitor::process_window(
   metrics().events.inc(window_log.size());
   metrics().events_per_window.observe(
       static_cast<double>(window_log.size()));
-  metrics().latency_ingest.observe(latency.ingest_ms);
-  metrics().latency_queue.observe(latency.queue_ms);
 
   // Delta-maintained fast path: when the feed side kept the window's
   // aggregates valid, finalize them instead of rebuilding from the raw log.
@@ -308,7 +290,8 @@ void SlidingMonitor::process_window(
           obs::Severity::kInfo, "monitor", "baseline adopted",
           {{"events", std::to_string(audit.events)}}, to_seconds(begin));
     }
-    finish_audit(std::move(audit), wall_start, std::nullopt);
+    audit.wall_ms = wall_ms(wall_start, std::chrono::steady_clock::now());
+    finish_audit(std::move(audit), std::nullopt);
     return;
   }
 
@@ -392,29 +375,23 @@ void SlidingMonitor::process_window(
     audit.decision += "; baseline rolled forward";
     metrics().rebaselines.inc();
   }
+  const auto decided = std::chrono::steady_clock::now();
+  latency.decide_ms = wall_ms(diff_done, decided);
+  latency.total_ms = wall_ms(wall_start, decided);
+  metrics().latency_decide.observe(latency.decide_ms);
+  audit.wall_ms = latency.total_ms;
   if (record) {
     // The verdict is the final decision string (rolling-baseline and
     // DEGRADED annotations included), so all three surfaces — transcript,
     // /provenance, `flowdiff explain` — agree with the audit trail.
     record->verdict = audit.decision;
-    const auto decided = std::chrono::steady_clock::now();
     record->latency = latency;
-    record->latency.decide_ms = wall_ms(diff_done, decided);
-    record->latency.total_ms = wall_ms(feed_wall_, decided);
-    metrics().latency_decide.observe(record->latency.decide_ms);
-    if (record->alarmed) {
-      metrics().latency_event_to_alarm.observe(record->latency.total_ms);
-    }
   }
-  finish_audit(std::move(audit), wall_start, std::move(record));
+  finish_audit(std::move(audit), std::move(record));
 }
 
-void SlidingMonitor::finish_audit(
-    WindowAudit audit, std::chrono::steady_clock::time_point wall_start,
-    std::optional<ProvenanceRecord> record) {
-  const std::chrono::duration<double, std::milli> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  audit.wall_ms = wall.count();
+void SlidingMonitor::finish_audit(WindowAudit audit,
+                                  std::optional<ProvenanceRecord> record) {
   metrics().window_ms.observe(audit.wall_ms);
   const double window_end_s = to_seconds(audit.window_end);
   std::size_t dropped = 0;

@@ -9,7 +9,6 @@
 // slow legitimate drift (growing workload) is absorbed.
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -81,7 +80,9 @@ struct WindowAudit {
   SimTime window_begin = 0;
   SimTime window_end = 0;
   std::size_t events = 0;      ///< Control events modeled in this window.
-  double wall_ms = 0.0;        ///< Wall time spent modeling + diffing.
+  /// Wall time from processing start to the decision: model + diff +
+  /// decide, equal to the window's StageLatency::total_ms.
+  double wall_ms = 0.0;
   bool baseline_capture = false;  ///< Window was adopted as the baseline.
   bool alarmed = false;
   bool rebaselined = false;    ///< Clean window rolled the baseline forward.
@@ -212,15 +213,12 @@ class SlidingMonitor {
   /// steady-state windowing reuses their storage instead of allocating.
   void close_window(SimTime window_end);
   /// Models + diffs the window held in current_ / inc_state_ and commits
-  /// the outcome. `close_wall` is when the window closed, the edge between
-  /// the ingest and queue latency stages.
+  /// the outcome.
   void process_window(SimTime begin, SimTime window_end,
-                      const ingest::StreamQuality& quality,
-                      std::chrono::steady_clock::time_point close_wall);
-  /// Stamps the wall time onto the audit record and files it, together
-  /// with the window's provenance record (if the diff produced one).
+                      const ingest::StreamQuality& quality);
+  /// Files the (already timed) audit record, together with the window's
+  /// provenance record (if the diff produced one).
   void finish_audit(WindowAudit audit,
-                    std::chrono::steady_clock::time_point wall_start,
                     std::optional<ProvenanceRecord> record);
 
   MonitorConfig config_;
@@ -234,8 +232,7 @@ class SlidingMonitor {
   /// and ingest_event() consumes the restored stream.
   std::optional<ingest::StreamSanitizer> sanitizer_;
   /// Built once in the constructor: the sanitizer's Sink is a
-  /// std::function, and rebuilding it per fed event showed up in the
-  /// ingest throughput bench.
+  /// std::function, too costly to rebuild per fed event.
   ingest::StreamSanitizer::Sink ingest_sink_;
   std::optional<BehaviorModel> baseline_;
   SimTime baseline_begin_ = -1;
@@ -243,9 +240,6 @@ class SlidingMonitor {
   /// input and the audit/metrics source.
   of::ControlLog current_;
   SimTime window_start_ = -1;
-  /// Wall time of the most recent feed()/push batch: the arrival stamp of
-  /// the newest event, the first detection-latency clock edge.
-  std::chrono::steady_clock::time_point feed_wall_;
   std::vector<MonitorAlarm> alarms_;
   std::deque<WindowAudit> audits_;
   std::size_t audits_dropped_ = 0;

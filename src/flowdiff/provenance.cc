@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -284,9 +285,7 @@ bool parse_latency(Parser& p, StageLatency* lat) {
       const auto key = p.string();
       if (!key || !p.eat(':')) return false;
       double* slot = nullptr;
-      if (*key == "ingest") slot = &lat->ingest_ms;
-      else if (*key == "queue") slot = &lat->queue_ms;
-      else if (*key == "model") slot = &lat->model_ms;
+      if (*key == "model") slot = &lat->model_ms;
       else if (*key == "diff") slot = &lat->diff_ms;
       else if (*key == "decide") slot = &lat->decide_ms;
       else if (*key == "total") slot = &lat->total_ms;
@@ -425,14 +424,10 @@ bool parse_record(Parser& p, ProvenanceRecord* rec) {
 }  // namespace
 
 bool StageLatency::complete() const {
-  // Every stage stamped non-negative and the end-to-end total covers the
-  // stage sum (tolerance: the stamps are converted to double ms pairwise).
-  if (ingest_ms < 0.0 || queue_ms < 0.0 || model_ms < 0.0 || diff_ms < 0.0 ||
-      decide_ms < 0.0 || total_ms < 0.0) {
-    return false;
-  }
-  const double sum = ingest_ms + queue_ms + model_ms + diff_ms + decide_ms;
-  return total_ms + 0.5 >= sum;
+  // Every stage stamped non-negative and the total equal to the stage sum
+  // (tolerance: the stamps are converted to double ms pairwise).
+  if (model_ms < 0.0 || diff_ms < 0.0 || decide_ms < 0.0) return false;
+  return std::fabs(total_ms - (model_ms + diff_ms + decide_ms)) <= 1e-6;
 }
 
 ProvenanceRecord build_provenance(const DiffReport& report,
@@ -483,12 +478,10 @@ std::string render_provenance_text(const ProvenanceRecord& rec,
     }
   }
   if (with_latency) {
-    out += "latency: ingest " + fmt_double(rec.latency.ingest_ms, 3) +
-           "ms + queue " + fmt_double(rec.latency.queue_ms, 3) +
-           "ms + model " + fmt_double(rec.latency.model_ms, 3) +
+    out += "latency: model " + fmt_double(rec.latency.model_ms, 3) +
            "ms + diff " + fmt_double(rec.latency.diff_ms, 3) +
            "ms + decide " + fmt_double(rec.latency.decide_ms, 3) +
-           "ms; event->verdict " + fmt_double(rec.latency.total_ms, 3) +
+           "ms; close->verdict " + fmt_double(rec.latency.total_ms, 3) +
            "ms\n";
   }
   return out;
@@ -530,9 +523,7 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
     out += "]}";
   }
   out += "], \"quality\": " + quality_json(rec.quality);
-  out += ", \"latency_ms\": {\"ingest\": " + num(rec.latency.ingest_ms) +
-         ", \"queue\": " + num(rec.latency.queue_ms) +
-         ", \"model\": " + num(rec.latency.model_ms) +
+  out += ", \"latency_ms\": {\"model\": " + num(rec.latency.model_ms) +
          ", \"diff\": " + num(rec.latency.diff_ms) +
          ", \"decide\": " + num(rec.latency.decide_ms) +
          ", \"total\": " + num(rec.latency.total_ms) + "}}";

@@ -14,9 +14,10 @@
 //     components it names, so shares within a family sum to <= 100%);
 //   * the StreamQuality snapshot that graded the window and the
 //     suppression / confidence verdict the monitor reached;
-//   * a detection-latency breakdown over the monitor's stage clock edges:
-//     newest-event arrival -> window close (sanitizer residence included)
-//     -> modeling start -> model build -> diff -> alarm decision.
+//   * a processing-latency breakdown over the monitor's stage clock edges:
+//     processing start (the thread that closes a window processes it at
+//     once) -> model built -> diff done -> verdict decided. How long events
+//     waited before the close is not measured.
 //
 // Everything except the latency breakdown is a pure function of the
 // DiffReport, so records are bit-identical across worker counts
@@ -58,22 +59,18 @@ struct FamilyContribution {
   std::vector<ProvenanceContributor> top;
 };
 
-/// Wall-clock detection-latency breakdown, steady_clock edges (the same
+/// Wall-clock processing-latency breakdown, steady_clock edges (the same
 /// clock obs::Span uses). Nondeterministic by nature: never part of golden
 /// transcripts or the cross-worker identity contract.
 struct StageLatency {
-  double ingest_ms = 0.0;  ///< Newest-event arrival -> window close
-                           ///< (sanitizer reorder-buffer residence
-                           ///< included: with a sanitizer the close fires
-                           ///< only once the watermark releases the event).
-  double queue_ms = 0.0;   ///< Window close -> modeling start (~0: the
-                           ///< thread that closes a window models it).
-  double model_ms = 0.0;   ///< core::Modeler build of the window model.
+  double model_ms = 0.0;   ///< Processing start -> window model built.
   double diff_ms = 0.0;    ///< diff + validate + diagnose (FlowDiff::diff).
-  double decide_ms = 0.0;  ///< Diff end -> verdict committed.
-  double total_ms = 0.0;   ///< Newest-event arrival -> verdict committed.
+  double decide_ms = 0.0;  ///< Diff end -> verdict decided.
+  /// Processing start -> verdict decided: the stage sum, and the window's
+  /// WindowAudit::wall_ms.
+  double total_ms = 0.0;
 
-  /// All stages stamped and consistent (each stage >= 0, total covers the
+  /// All stages stamped and consistent (each stage >= 0, total is their
   /// sum). The golden-corpus test requires this of every record.
   [[nodiscard]] bool complete() const;
 };

@@ -286,7 +286,7 @@ std::string render_run_report(const MonitorSnapshot& snap,
       doc.para(counts);
       doc.code(render_diagnosis_summary(alarm.report.unknown));
       // Provenance: the same record /provenance and `flowdiff explain`
-      // render, here with the detection-latency breakdown (the report
+      // render, here with the processing-latency breakdown (the report
       // already exposes wall-clock fields via the audit table).
       for (const ProvenanceRecord& rec : snap.provenance) {
         if (alarm.provenance_id != 0 && rec.id == alarm.provenance_id) {

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -226,6 +228,23 @@ TEST_F(TelemetryPlaneTest, EndpointsServeAttachedMonitorRun) {
             std::string::npos);
   EXPECT_NE(metrics->body.find("flowdiff_process_open_fds"),
             std::string::npos);
+  // Latency is processing start -> verdict only: the three processing
+  // stages are the only monitor latency histograms, no arrival-stamp ones.
+  EXPECT_NE(metrics->body.find("flowdiff_monitor_latency_model_ms"),
+            std::string::npos);
+  std::set<std::string> latency_metrics;
+  const std::string type_prefix = "# TYPE flowdiff_monitor_latency_";
+  for (std::size_t at = metrics->body.find(type_prefix);
+       at != std::string::npos;
+       at = metrics->body.find(type_prefix, at + 1)) {
+    const std::size_t begin = at + std::strlen("# TYPE ");
+    latency_metrics.insert(
+        metrics->body.substr(begin, metrics->body.find(' ', begin) - begin));
+  }
+  EXPECT_EQ(latency_metrics,
+            (std::set<std::string>{"flowdiff_monitor_latency_decide_ms",
+                                   "flowdiff_monitor_latency_diff_ms",
+                                   "flowdiff_monitor_latency_model_ms"}));
 
   const auto health = http_get(plane.port(), "/healthz");
   ASSERT_TRUE(health.has_value());

@@ -1,6 +1,7 @@
 // Alarm provenance plane: corpus-pinned golden transcripts, record
 // completeness (every diverging family carries ranked contributors and a
-// full stage-latency breakdown), JSON round-trips, provenance-ring bounds,
+// full stage-latency breakdown whose total is the window's wall time), JSON
+// round-trips, provenance-ring bounds,
 // the root and per-tenant telemetry routes, and both `flowdiff explain`
 // paths (artifacts on disk and a live telemetry plane) rendering the same
 // record.
@@ -81,9 +82,7 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
         EXPECT_GT(family.changes, 0u) << name;
       }
       EXPECT_TRUE(record->latency.complete())
-          << name << ": incomplete stage latencies (ingest="
-          << record->latency.ingest_ms << " queue="
-          << record->latency.queue_ms << " model="
+          << name << ": incomplete stage latencies (model="
           << record->latency.model_ms << " diff=" << record->latency.diff_ms
           << " decide=" << record->latency.decide_ms
           << " total=" << record->latency.total_ms << ")";
@@ -91,6 +90,37 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
   }
   EXPECT_TRUE(any_alarm) << "corpus produced no alarms; the test lost its "
                             "point";
+}
+
+TEST(Provenance, WindowWallTimeIsTheRecordTotal) {
+  // One clock per window: the audit's wall_ms and the record's total_ms
+  // are the same processing-start -> verdict measurement, and the stages
+  // partition it.
+  std::size_t records = 0;
+  for (const char* name : kCases) {
+    const auto parsed = load_case(name);
+    ASSERT_TRUE(parsed.has_value()) << name;
+    core::SlidingMonitor monitor(parsed->config);
+    monitor.feed(parsed->events);
+    monitor.flush();
+    for (const auto& record : monitor.provenance()) {
+      ++records;
+      const auto audit = std::find_if(
+          monitor.audits().begin(), monitor.audits().end(),
+          [&](const core::WindowAudit& a) {
+            return a.index == record.window_index;
+          });
+      ASSERT_NE(audit, monitor.audits().end())
+          << name << ": record #" << record.id << " has no audit";
+      EXPECT_EQ(record.latency.total_ms, audit->wall_ms)
+          << name << ": record #" << record.id;
+      EXPECT_NEAR(record.latency.model_ms + record.latency.diff_ms +
+                      record.latency.decide_ms,
+                  record.latency.total_ms, 1e-6)
+          << name << ": record #" << record.id;
+    }
+  }
+  EXPECT_GT(records, 0u) << "corpus produced no provenance records";
 }
 
 TEST(Provenance, CollectionJsonRoundTripsLosslessly) {

@@ -168,8 +168,11 @@ struct CliRun {
 };
 
 /// Runs `flowdiff <args>` to completion with stdout discarded and stderr
-/// captured.
-CliRun run_cli(const std::vector<std::string>& args) {
+/// captured. A nonzero `kill_after_s` arms alarm(2) in the child (it
+/// survives exec), so a run that never exits dies by SIGALRM and reports
+/// exit_code -1 instead of hanging the test.
+CliRun run_cli(const std::vector<std::string>& args,
+               unsigned kill_after_s = 0) {
   CliRun run;
   int err_pipe[2];
   if (::pipe(err_pipe) != 0) return run;
@@ -181,6 +184,7 @@ CliRun run_cli(const std::vector<std::string>& args) {
     ::dup2(err_pipe[1], STDERR_FILENO);
     ::close(err_pipe[0]);
     ::close(err_pipe[1]);
+    if (kill_after_s > 0) ::alarm(kill_after_s);
     exec_cli(args);
   }
   ::close(err_pipe[1]);
@@ -372,6 +376,47 @@ TEST(CliFlags, WorkersMustBeANonNegativeInt) {
   }
   // A valid count still parses: a self-diff is clean.
   EXPECT_EQ(run_cli({"diff", log, log, "--workers=2"}).exit_code, 0);
+}
+
+TEST(CliFlags, NumericFlagsRejectGarbageAndNonFinite) {
+  // Every numeric flag goes through one parser: garbage, trailing junk,
+  // signs, non-finite and out-of-range values exit 2 naming the flag,
+  // instead of casting inf/nan to an integer or silently reading 0.
+  const std::string log = Corpus("steady").log_path.string();
+  constexpr unsigned kKillAfterS = 30;
+  const char* bad_values[] = {"inf", "nan", "1e300", "abc", "10x", "-1", ""};
+  for (const char* flag : {"--window", "--lateness"}) {
+    for (const char* bad : bad_values) {
+      const CliRun run = run_cli({"monitor", log, flag, bad}, kKillAfterS);
+      EXPECT_EQ(run.exit_code, 2) << "monitor " << flag << " '" << bad << "'";
+      EXPECT_NE(run.err.find(flag), std::string::npos)
+          << "monitor " << flag << " '" << bad << "': " << run.err;
+    }
+  }
+  for (const char* flag : {"--poll-ms", "--evict-idle", "--exit-after-idle"}) {
+    for (const char* bad : bad_values) {
+      // A valid idle exit first, so a flag that is silently accepted ends
+      // the run (exit 0) instead of serving until killed.
+      const CliRun run = run_cli({"serve", "--follow", "/dev/null@t0",
+                                  "--exit-after-idle", "0.2", flag, bad},
+                                 kKillAfterS);
+      EXPECT_EQ(run.exit_code, 2) << "serve " << flag << " '" << bad << "'";
+      EXPECT_NE(run.err.find(flag), std::string::npos)
+          << "serve " << flag << " '" << bad << "': " << run.err;
+    }
+  }
+  // Valid values still parse, fractional seconds included: the run ends
+  // in a verdict (0 clean, 1 alarms), not a usage error.
+  const int monitor_rc =
+      run_cli({"monitor", log, "--window", "10.5", "--lateness", "0.5"},
+              kKillAfterS)
+          .exit_code;
+  EXPECT_TRUE(monitor_rc == 0 || monitor_rc == 1) << monitor_rc;
+  EXPECT_EQ(run_cli({"serve", "--follow", "/dev/null@t0", "--poll-ms", "10",
+                     "--evict-idle", "0.5", "--exit-after-idle", "0.2"},
+                    kKillAfterS)
+                .exit_code,
+            0);
 }
 
 TEST(CliFlags, MonitorAndReportNameUnknownFlags) {

@@ -2,9 +2,12 @@
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
 #   2. loaded host: rerun the http/serve/provenance/incremental suites 20
-#      times next to one `yes` CPU hog per core. Their verdicts (/healthz,
-#      transcripts, provenance) are functions of the input stream, so a
-#      slow host may only slow them down, never flip them;
+#      times, two ctest jobs per core, next to one `yes` CPU hog per core.
+#      Their verdicts (/healthz, transcripts, provenance) are functions of
+#      the input stream, so a slow host may only slow them down, never flip
+#      them. Oversubscribing is what makes this a gate: at one job per core
+#      next to the hogs, a load-dependent /healthz verdict passed all 20
+#      repeats;
 #   3. perfbench smoke: a 2 s run of each perfbench/run.py workload (the
 #      benchmark of record, see perfbench/BENCHMARK.md): the file-tail,
 #      socket and offline paths all run the control-log parser. Each run
@@ -83,7 +86,7 @@ run_suite() {
 echo "== tier-1: build + ctest =="
 run_suite "$repo/build-ci"
 
-echo "== loaded host: ctest -L http|serve|provenance|incremental x20 next to $jobs CPU hogs =="
+echo "== loaded host: ctest -j $((2 * jobs)) -L http|serve|provenance|incremental x20 next to $jobs CPU hogs =="
 # Each hog is bounded by timeout in case this script dies before the trap
 # runs; the EXIT trap stops them on every path out, a failing ctest included.
 hogs=()
@@ -99,7 +102,7 @@ for ((i = 0; i < jobs; ++i)); do
   timeout 1800 yes >/dev/null &
   hogs+=("$!")
 done
-ctest --test-dir "$repo/build-ci" --output-on-failure -j "$jobs" \
+ctest --test-dir "$repo/build-ci" --output-on-failure -j "$((2 * jobs))" \
   --no-tests=error --repeat until-fail:20 -L 'http|serve|provenance|incremental'
 stop_hogs
 trap - EXIT

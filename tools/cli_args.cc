@@ -1,7 +1,9 @@
 #include "cli_args.h"
 
 #include <cerrno>
+#include <charconv>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -42,15 +44,6 @@ bool flag_value(const std::vector<std::string>& args, std::size_t* i,
   return false;
 }
 
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 /// Digits only (no sign, no blanks), and the value must fit in an int.
 bool parse_count(const std::string& text, int* out) {
   if (text.empty() || text[0] < '0' || text[0] > '9') return false;
@@ -76,6 +69,26 @@ bool has_suffix(const std::string& str, const char* suffix) {
 int fail(const std::string& message) {
   std::fprintf(stderr, "flowdiff: %s\n", message.c_str());
   return 2;
+}
+
+std::optional<SimDuration> parse_duration_flag(const std::string& flag,
+                                               const std::string& text,
+                                               SimDuration unit,
+                                               std::string* error) {
+  // from_chars takes no leading blanks or '+'; "inf"/"nan" parse but are
+  // not finite, and a scaled value at or past 2^63 would not fit SimTime.
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const double scaled = value * static_cast<double>(unit);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value) || std::signbit(value) ||
+      scaled >= 9223372036854775808.0) {
+    *error = flag + " needs a finite, non-negative number within the "
+             "64-bit microsecond time range (got '" + text + "')";
+    return std::nullopt;
+  }
+  return static_cast<SimDuration>(scaled);
 }
 
 std::optional<GlobalOptions> extract_global_options(
@@ -195,12 +208,10 @@ std::optional<MonitorFlags> parse_monitor_flags(
     } else if (flag_value(args, &i, "--task", &value)) {
       task_paths.push_back(value);
     } else if (flag_value(args, &i, "--window", &value)) {
-      double seconds = 0;
-      if (!parse_double(value, &seconds)) {
-        *error = "unparseable --window value: " + value;
-        return std::nullopt;
-      }
-      parsed.options.window = from_seconds(seconds);
+      const auto window = parse_duration_flag("--window", value, kSecond,
+                                              error);
+      if (!window) return std::nullopt;
+      parsed.options.window = *window;
     } else if (args[i] == "--rolling") {
       parsed.options.rolling_baseline = true;
     } else if (args[i] == "--sanitize") {
@@ -210,16 +221,14 @@ std::optional<MonitorFlags> parse_monitor_flags(
       // oracle mode, for A/B timing and identity checks.
       parsed.options.incremental = false;
     } else if (flag_value(args, &i, "--lateness", &value)) {
-      double seconds = 0;
-      if (!parse_double(value, &seconds)) {
-        *error = "unparseable --lateness value: " + value;
-        return std::nullopt;
-      }
+      const auto lateness = parse_duration_flag("--lateness", value, kSecond,
+                                                error);
+      if (!lateness) return std::nullopt;
       // Flag-layer sugar: an explicit horizon only makes sense with the
       // sanitizer, so asking for one opts in (validate() would otherwise
       // reject the pair).
       parsed.options.sanitize = true;
-      parsed.options.lateness = from_seconds(seconds);
+      parsed.options.lateness = *lateness;
     } else if (flag_value(args, &i, "--listen", &value)) {
       parsed.options.listen = value;
     } else {

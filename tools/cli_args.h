@@ -20,6 +20,7 @@
 #include "flowdiff/telemetry.h"
 #include "openflow/control_log.h"
 #include "util/ipv4.h"
+#include "util/time.h"
 
 namespace flowdiff::cli {
 
@@ -60,6 +61,16 @@ std::optional<GlobalOptions> extract_global_options(
 /// ran, per the global flags. Failures here degrade the exit code only if
 /// the run itself was clean.
 int dump_observability(const GlobalOptions& opts);
+
+/// The one parser for numeric duration flags (--window, --lateness,
+/// --poll-ms, --evict-idle, --exit-after-idle): `text` must be a finite,
+/// non-negative decimal count of `unit`s (kSecond, kMillisecond) whose
+/// SimDuration fits in SimTime. nullopt (with *error naming `flag`) on
+/// garbage, trailing characters, a sign, inf, nan, or an out-of-range value.
+std::optional<SimDuration> parse_duration_flag(const std::string& flag,
+                                               const std::string& text,
+                                               SimDuration unit,
+                                               std::string* error);
 
 // --- shared loaders -------------------------------------------------------
 

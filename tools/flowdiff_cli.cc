@@ -698,9 +698,9 @@ struct ServeCliArgs {
   std::vector<ServeSourceSpec> sources;
   bool by_controller = false;
   bool from_end = false;
-  long poll_ms = 50;
-  double evict_idle_s = 0;       ///< 0 = never evict
-  double exit_after_idle_s = 0;  ///< 0 = run until signalled
+  SimDuration poll = 50 * kMillisecond;
+  SimDuration evict_idle = 0;       ///< 0 = never evict
+  SimDuration exit_after_idle = 0;  ///< 0 = run until signalled
   std::string transcripts_dir;
 };
 
@@ -730,6 +730,20 @@ std::optional<ServeCliArgs> parse_serve_args(
   ServeCliArgs parsed;
   parsed.options = shared->options;
   const auto& rest = shared->rest;
+  // `--FLAG VALUE` at rest[*i] through the shared duration parser; advances
+  // *i past VALUE and reports a rejection on stderr.
+  const auto duration = [&](std::size_t* i, SimDuration unit,
+                            SimDuration* out) {
+    const std::string& flag = rest[*i];
+    const auto value =
+        cli::parse_duration_flag(flag, rest[++*i], unit, &error);
+    if (!value) {
+      fail(error);
+      return false;
+    }
+    *out = *value;
+    return true;
+  };
   std::size_t sockets = 0;
   for (std::size_t i = 0; i < rest.size(); ++i) {
     if (rest[i] == "--follow" && i + 1 < rest.size()) {
@@ -758,15 +772,17 @@ std::optional<ServeCliArgs> parse_serve_args(
     } else if (rest[i] == "--from-end") {
       parsed.from_end = true;
     } else if (rest[i] == "--poll-ms" && i + 1 < rest.size()) {
-      parsed.poll_ms = std::strtol(rest[++i].c_str(), nullptr, 10);
-      if (parsed.poll_ms <= 0) {
+      if (!duration(&i, kMillisecond, &parsed.poll)) return std::nullopt;
+      if (parsed.poll <= 0 || parsed.poll % kMillisecond != 0) {
         fail("--poll-ms must be a positive integer");
         return std::nullopt;
       }
     } else if (rest[i] == "--evict-idle" && i + 1 < rest.size()) {
-      parsed.evict_idle_s = std::strtod(rest[++i].c_str(), nullptr);
+      if (!duration(&i, kSecond, &parsed.evict_idle)) return std::nullopt;
     } else if (rest[i] == "--exit-after-idle" && i + 1 < rest.size()) {
-      parsed.exit_after_idle_s = std::strtod(rest[++i].c_str(), nullptr);
+      if (!duration(&i, kSecond, &parsed.exit_after_idle)) {
+        return std::nullopt;
+      }
     } else if (rest[i] == "--transcripts" && i + 1 < rest.size()) {
       parsed.transcripts_dir = rest[++i];
     } else {
@@ -866,11 +882,8 @@ int cmd_serve(std::vector<std::string> args) {
   std::fflush(stdout);
 
   const std::uint64_t evict_ticks =
-      parsed->evict_idle_s > 0
-          ? static_cast<std::uint64_t>(
-                parsed->evict_idle_s * 1000.0 /
-                static_cast<double>(parsed->poll_ms)) +
-                1
+      parsed->evict_idle > 0
+          ? static_cast<std::uint64_t>(parsed->evict_idle / parsed->poll) + 1
           : 0;
   double last_event_at = monotonic_seconds();
   std::vector<of::ControlEvent> batch;
@@ -905,12 +918,12 @@ int cmd_serve(std::vector<std::string> args) {
       last_event_at = now;
       continue;  // Drain hot sources without sleeping.
     }
-    if (parsed->exit_after_idle_s > 0 &&
-        now - last_event_at >= parsed->exit_after_idle_s) {
+    if (parsed->exit_after_idle > 0 &&
+        now - last_event_at >= to_seconds(parsed->exit_after_idle)) {
       break;
     }
-    struct timespec delay = {parsed->poll_ms / 1000,
-                             (parsed->poll_ms % 1000) * 1000000L};
+    struct timespec delay = {parsed->poll / kSecond,
+                             (parsed->poll % kSecond) * 1000L};
     nanosleep(&delay, nullptr);
   }
 
