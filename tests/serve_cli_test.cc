@@ -419,6 +419,51 @@ TEST(CliFlags, NumericFlagsRejectGarbageAndNonFinite) {
             0);
 }
 
+TEST(CliFlags, ServeFlagsTakeEqualsForm) {
+  // Serve's own flags parse like the shared monitor flags: --flag=VALUE is
+  // the same flag as --flag VALUE, down to the transcript it produces.
+  const Corpus corpus("steady");
+  const fs::path dir = fs::path(::testing::TempDir()) / "serve_equals_form";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string services = corpus.write_services(dir / "services.txt");
+  constexpr unsigned kKillAfterS = 60;
+  for (const bool equals : {false, true}) {
+    const fs::path transcripts = dir / (equals ? "equals" : "two_token");
+    std::vector<std::string> args{"serve"};
+    const auto flag = [&](const std::string& name, const std::string& value) {
+      if (equals) {
+        args.push_back(name + "=" + value);
+      } else {
+        args.insert(args.end(), {name, value});
+      }
+    };
+    flag("--follow", corpus.log_path.string() + "@t0");
+    flag("--window", corpus.window_seconds());
+    flag("--services", services);
+    flag("--transcripts", transcripts.string());
+    flag("--poll-ms", "20");
+    flag("--evict-idle", "0");
+    flag("--exit-after-idle", "0.5");
+    const CliRun run = run_cli(args, kKillAfterS);
+    EXPECT_EQ(run.exit_code, 0) << "equals=" << equals << ": " << run.err;
+    const auto transcript =
+        of::read_file((transcripts / "t0.transcript").string());
+    ASSERT_TRUE(transcript.has_value()) << "equals=" << equals;
+    EXPECT_EQ(*transcript, corpus.golden) << "equals=" << equals;
+  }
+  EXPECT_EQ(run_cli({"serve", "--follow=/dev/null@t0",
+                     "--exit-after-idle=0.2"},
+                    kKillAfterS)
+                .exit_code,
+            0);
+  // A bare --follow (no value) is still a usage error naming the flag.
+  const CliRun bare =
+      run_cli({"serve", "--exit-after-idle=0.2", "--follow"}, kKillAfterS);
+  EXPECT_EQ(bare.exit_code, 2);
+  EXPECT_NE(bare.err.find("--follow"), std::string::npos) << bare.err;
+}
+
 TEST(CliFlags, MonitorAndReportNameUnknownFlags) {
   // --incremental was a no-op alias of the default and is gone; any other
   // leftover "--" argument is named the same way instead of falling

@@ -13,7 +13,10 @@
 #      socket and offline paths all run the control-log parser. Each run
 #      replays every corpus capture through the live daemon path as a
 #      self-check before measuring and checks every verdict against its
-#      reference; the leg fails unless every run reports "correct": true;
+#      reference; the leg fails unless every run reports "correct": true.
+#      A further 2 s traced follow_clean run gates the incremental path's
+#      mechanism on two counts: finalize.not_ready_windows == 0 and
+#      incr_feed.allocs_per_event < 0.05;
 #   4. attack sweep: run bench/attack_sweep over the lab deployment and
 #      refresh BENCH_attack.json (gated on recall and false alarms);
 #   5. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
@@ -120,6 +123,27 @@ for workload in follow_clean socket_corrupted_16t offline_diff; do
     exit 1
   fi
 done
+
+# The incremental path's mechanism, read off a traced follow_clean run:
+# every window must finalize from the delta-maintained state (none handed
+# to the from-scratch oracle), and feeding a recycled window state must
+# stay (almost) allocation-free. Both are counts, not timings, so a loaded
+# host cannot flip them.
+echo "== bench: perfbench follow_clean traced (incremental path gate) =="
+perf_out="$(cd "$repo" && python3 perfbench/run.py --workload follow_clean \
+  --seconds 2 --trace 1)"
+printf '%s\n' "$perf_out" | tail -n 1
+if ! printf '%s\n' "$perf_out" | tail -n 1 | python3 -c '
+import json, sys
+run = json.load(sys.stdin)
+m = run["metrics"]
+not_ready = m["finalize.not_ready_windows"]["value"]
+allocs = m["incr_feed.allocs_per_event"]["value"]
+print(f"finalize.not_ready_windows={not_ready} incr_feed.allocs_per_event={allocs}")
+sys.exit(0 if run.get("correct") is True and not_ready == 0 and allocs < 0.05 else 1)'; then
+  echo "perfbench follow_clean: incremental path gate failed" >&2
+  exit 1
+fi
 
 echo "== bench: adversarial recall/false-alarm sweep (BENCH_attack.json) =="
 # Gated: nominal-intensity recall >= 0.9 with zero steady false alarms, or

@@ -27,23 +27,6 @@ int emit(const std::string& path, const std::string& text) {
   return 0;
 }
 
-/// Matches `--NAME VALUE` and `--NAME=VALUE`; advances *i past a consumed
-/// two-token form. False when args[*i] is not this flag.
-bool flag_value(const std::vector<std::string>& args, std::size_t* i,
-                const char* name, std::string* value) {
-  const std::string& arg = args[*i];
-  const std::string eq = std::string(name) + "=";
-  if (arg == name && *i + 1 < args.size()) {
-    *value = args[++*i];
-    return true;
-  }
-  if (arg.rfind(eq, 0) == 0) {
-    *value = arg.substr(eq.size());
-    return true;
-  }
-  return false;
-}
-
 /// Digits only (no sign, no blanks), and the value must fit in an int.
 bool parse_count(const std::string& text, int* out) {
   if (text.empty() || text[0] < '0' || text[0] > '9') return false;
@@ -60,6 +43,21 @@ volatile std::sig_atomic_t g_shutdown = 0;
 void on_shutdown_signal(int) { g_shutdown = 1; }
 
 }  // namespace
+
+bool flag_value(const std::vector<std::string>& args, std::size_t* i,
+                const char* name, std::string* value) {
+  const std::string& arg = args[*i];
+  const std::string eq = std::string(name) + "=";
+  if (arg == name && *i + 1 < args.size()) {
+    *value = args[++*i];
+    return true;
+  }
+  if (arg.rfind(eq, 0) == 0) {
+    *value = arg.substr(eq.size());
+    return true;
+  }
+  return false;
+}
 
 bool has_suffix(const std::string& str, const char* suffix) {
   const std::size_t n = std::strlen(suffix);

@@ -32,6 +32,12 @@ int fail(const std::string& message);
 /// extension).
 [[nodiscard]] bool has_suffix(const std::string& str, const char* suffix);
 
+/// Matches `--NAME VALUE` and `--NAME=VALUE` at args[*i], storing VALUE;
+/// advances *i past a consumed two-token form. False when args[*i] is not
+/// this flag, or is a bare `--NAME` with no value after it.
+bool flag_value(const std::vector<std::string>& args, std::size_t* i,
+                const char* name, std::string* value);
+
 // --- global flags (--workers / --artifacts / --stats / --trace / --series) -
 
 struct GlobalOptions {

@@ -223,6 +223,8 @@ void print_serve_help(std::FILE* out) {
       "  --services --task (see `flowdiff help`); each shard gets the "
       "same\n"
       "  configuration. --workers sizes the cross-tenant pool.\n"
+      "Every flag that takes a value accepts --flag VALUE or "
+      "--flag=VALUE.\n"
       "telemetry (--listen ADDR:PORT):\n"
       "  /healthz                   aggregate verdict — 503 as soon as "
       "ANY\n"
@@ -730,61 +732,64 @@ std::optional<ServeCliArgs> parse_serve_args(
   ServeCliArgs parsed;
   parsed.options = shared->options;
   const auto& rest = shared->rest;
-  // `--FLAG VALUE` at rest[*i] through the shared duration parser; advances
-  // *i past VALUE and reports a rejection on stderr.
-  const auto duration = [&](std::size_t* i, SimDuration unit,
-                            SimDuration* out) {
-    const std::string& flag = rest[*i];
-    const auto value =
-        cli::parse_duration_flag(flag, rest[++*i], unit, &error);
-    if (!value) {
+  // A duration flag's VALUE through the shared duration parser; reports a
+  // rejection on stderr.
+  const auto duration = [&](const char* flag, const std::string& value,
+                            SimDuration unit, SimDuration* out) {
+    const auto parsed_value =
+        cli::parse_duration_flag(flag, value, unit, &error);
+    if (!parsed_value) {
       fail(error);
       return false;
     }
-    *out = *value;
+    *out = *parsed_value;
     return true;
   };
+  // Socket tenants without an explicit name are numbered in flag order.
   std::size_t sockets = 0;
+  const auto add_socket = [&](ServeSourceSpec::Kind kind,
+                              const std::string& value) {
+    auto spec = split_source(kind, value);
+    if (spec.tenant.empty()) spec.tenant = "socket" + std::to_string(sockets);
+    ++sockets;
+    parsed.sources.push_back(std::move(spec));
+  };
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--follow" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kFile, rest[++i]);
+    std::string value;
+    if (cli::flag_value(rest, &i, "--follow", &value)) {
+      auto spec = split_source(ServeSourceSpec::Kind::kFile, value);
       if (spec.tenant.empty()) {
         spec.tenant =
             std::filesystem::path(spec.target).filename().string();
       }
       parsed.sources.push_back(std::move(spec));
-    } else if (rest[i] == "--socket" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kTcp, rest[++i]);
-      if (spec.tenant.empty()) {
-        spec.tenant = "socket" + std::to_string(sockets);
-      }
-      ++sockets;
-      parsed.sources.push_back(std::move(spec));
-    } else if (rest[i] == "--unix" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kUnix, rest[++i]);
-      if (spec.tenant.empty()) {
-        spec.tenant = "socket" + std::to_string(sockets);
-      }
-      ++sockets;
-      parsed.sources.push_back(std::move(spec));
+    } else if (cli::flag_value(rest, &i, "--socket", &value)) {
+      add_socket(ServeSourceSpec::Kind::kTcp, value);
+    } else if (cli::flag_value(rest, &i, "--unix", &value)) {
+      add_socket(ServeSourceSpec::Kind::kUnix, value);
     } else if (rest[i] == "--by-controller") {
       parsed.by_controller = true;
     } else if (rest[i] == "--from-end") {
       parsed.from_end = true;
-    } else if (rest[i] == "--poll-ms" && i + 1 < rest.size()) {
-      if (!duration(&i, kMillisecond, &parsed.poll)) return std::nullopt;
+    } else if (cli::flag_value(rest, &i, "--poll-ms", &value)) {
+      if (!duration("--poll-ms", value, kMillisecond, &parsed.poll)) {
+        return std::nullopt;
+      }
       if (parsed.poll <= 0 || parsed.poll % kMillisecond != 0) {
         fail("--poll-ms must be a positive integer");
         return std::nullopt;
       }
-    } else if (rest[i] == "--evict-idle" && i + 1 < rest.size()) {
-      if (!duration(&i, kSecond, &parsed.evict_idle)) return std::nullopt;
-    } else if (rest[i] == "--exit-after-idle" && i + 1 < rest.size()) {
-      if (!duration(&i, kSecond, &parsed.exit_after_idle)) {
+    } else if (cli::flag_value(rest, &i, "--evict-idle", &value)) {
+      if (!duration("--evict-idle", value, kSecond, &parsed.evict_idle)) {
         return std::nullopt;
       }
-    } else if (rest[i] == "--transcripts" && i + 1 < rest.size()) {
-      parsed.transcripts_dir = rest[++i];
+    } else if (cli::flag_value(rest, &i, "--exit-after-idle", &value)) {
+      if (!duration("--exit-after-idle", value, kSecond,
+                    &parsed.exit_after_idle)) {
+        return std::nullopt;
+      }
+    } else if (cli::flag_value(rest, &i, "--transcripts", &value)) {
+      parsed.transcripts_dir = value;
     } else {
       fail("unknown serve argument: " + rest[i]);
       return std::nullopt;
