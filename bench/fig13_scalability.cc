@@ -2,10 +2,11 @@
 //  (a) PacketIn messages per second for different numbers of randomly
 //      placed three-tier applications on the 320-server tree.
 //  (b) FlowDiff processing (modeling) time versus the number of
-//      applications — sub-linear in the paper.
-//  (c) beyond the paper: the same modeling work across executor worker
-//      counts — the per-group fan-out should cut wall time while staying
-//      bit-identical to the serial build.
+//      applications — sub-linear in the paper. Timed through
+//      FlowDiff::model, i.e. the incremental path over the sorted log.
+//  (c) beyond the paper: the from-scratch core::Modeler build across
+//      executor worker counts — the per-group fan-out should cut wall time
+//      while staying bit-identical to the serial build.
 #include <chrono>
 #include <cstdio>
 #include <thread>

@@ -16,6 +16,7 @@
 
 #include "flowdiff/diagnosis.h"
 #include "flowdiff/diff.h"
+#include "flowdiff/incremental_model.h"
 #include "flowdiff/model.h"
 #include "flowdiff/task_automaton.h"
 #include "flowdiff/task_mining.h"
@@ -63,7 +64,13 @@ class FlowDiff {
  public:
   explicit FlowDiff(FlowDiffConfig config);
 
-  /// Builds a behavior model from a control log.
+  /// Builds a behavior model from a control log: feeds the time-sorted
+  /// events through the incremental modeler and finalizes them. A log the
+  /// incremental path cannot represent exactly (empty, over the DD sample
+  /// budget, or a `min_edge_flows == 0` config) goes to `modeler().build`,
+  /// the from-scratch oracle; either way the model is bit-identical to
+  /// `modeler().build(log)`. All window state is per call, so concurrent
+  /// calls are safe.
   [[nodiscard]] BehaviorModel model(const of::ControlLog& log) const;
 
   /// Diffs `current` against `baseline`; task automata (if given) are
@@ -85,13 +92,16 @@ class FlowDiff {
       bool mask_subjects) const;
 
   [[nodiscard]] const FlowDiffConfig& config() const { return config_; }
-  /// The modeling engine (owns the worker pool sized by
+  /// The from-scratch modeling engine (owns the worker pool sized by
   /// FlowDiffConfig::parallelism); copies of the facade share it.
   [[nodiscard]] const Modeler& modeler() const { return *modeler_; }
 
  private:
   FlowDiffConfig config_;
   std::shared_ptr<Modeler> modeler_;
+  /// Built from the Modeler's own config and pool, so both paths see the
+  /// same (special-node-resolved) config and fan out on the same workers.
+  IncrementalModeler incremental_;
 };
 
 }  // namespace flowdiff::core

@@ -34,11 +34,14 @@
 // `Modeler::build` on the same window. Every divergence risk is either
 // engineered away (aggregates replay the exact floating-point add sequences
 // of the from-scratch extractors) or detected at feed time and turned into a
-// fallback (`fallback()` true → the monitor hands the window log to the
+// fallback (`ready()` false → the caller hands the window log to the
 // from-scratch oracle instead). Fallback triggers: out-of-order events
 // inside one window (the oracle sorts; the stream cannot), DD sample-budget
 // overflow, and unsupported configs (`min_edge_flows == 0`).
 // incremental_model_test and parallel_model_test enforce the invariant.
+//
+// Two callers: `SlidingMonitor` feeds the live stream as it arrives, and
+// `FlowDiff::model` feeds a whole offline log in its sorted order.
 #pragma once
 
 #include <cstddef>

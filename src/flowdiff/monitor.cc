@@ -269,8 +269,9 @@ void SlidingMonitor::process_window(SimTime begin, SimTime window_end,
                      : metrics().incremental_fallbacks)
         .inc();
   }
-  BehaviorModel model = use_incremental ? inc_->finalize(inc_state_)
-                                        : flowdiff_.model(window_log);
+  BehaviorModel model = use_incremental
+                            ? inc_->finalize(inc_state_)
+                            : flowdiff_.modeler().build(window_log);
   const auto model_done = std::chrono::steady_clock::now();
   latency.model_ms = wall_ms(wall_start, model_done);
   metrics().latency_model.observe(latency.model_ms);

@@ -1,10 +1,14 @@
 #include "openflow/log_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 #include <vector>
 
@@ -366,11 +370,33 @@ bool write_file(const std::string& path, std::string_view content) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } const closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) return std::nullopt;
+  // A regular file's size sizes the string once; anything else (a pipe, a
+  // device, a file that grew since the fstat) spills through `spill`.
+  std::string text(
+      S_ISREG(st.st_mode) ? static_cast<std::size_t>(st.st_size) : 0, '\0');
+  std::size_t used = 0;
+  char spill[4096];
+  for (;;) {
+    const bool in_place = used < text.size();
+    char* const dst = in_place ? text.data() + used : spill;
+    const std::size_t room = in_place ? text.size() - used : sizeof spill;
+    const ssize_t n = ::read(fd, dst, room);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return std::nullopt;
+    if (n == 0) break;
+    if (!in_place) text.append(spill, static_cast<std::size_t>(n));
+    used += static_cast<std::size_t>(n);
+  }
+  text.resize(used);  // Shorter only if the file shrank since the fstat.
+  return text;
 }
 
 }  // namespace flowdiff::of

@@ -69,7 +69,8 @@ enum class LineParse {
 [[nodiscard]] std::optional<FlowSequence> parse_flow_sequence(
     std::string_view text);
 
-/// Convenience file helpers; return false / nullopt on I/O errors.
+/// Convenience file helpers; return false / nullopt on I/O errors (for
+/// read_file, a directory or a failed read is one).
 bool write_file(const std::string& path, std::string_view content);
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 

@@ -202,6 +202,33 @@ TEST(LogIo, FileRoundTrip) {
   EXPECT_FALSE(read_file(path + ".does.not.exist").has_value());
 }
 
+TEST(LogIo, ReadFileRejectsDirectoriesAndKeepsEveryByte) {
+  // A directory opens but cannot be read: it must not pass as an empty log.
+  EXPECT_FALSE(read_file(::testing::TempDir()).has_value());
+
+  const std::string path = ::testing::TempDir() + "/flowdiff_read_file.log";
+  ASSERT_TRUE(write_file(path, ""));
+  const auto empty = read_file(path);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(*empty, "");
+
+  // No trailing newline, embedded NULs, and more than one read's worth.
+  std::string content = serialize(sample_log());
+  content += std::string("\0\r\x7f", 3);
+  while (content.size() < 3 * 4096 + 17) content += content;
+  content += "ECHO 5 0 3";
+  ASSERT_TRUE(write_file(path, content));
+  const auto back = read_file(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, content);
+  std::remove(path.c_str());
+
+  // A character device reports size 0 and reads to EOF at once.
+  const auto null_device = read_file("/dev/null");
+  ASSERT_TRUE(null_device.has_value());
+  EXPECT_EQ(*null_device, "");
+}
+
 TEST(LogIo, SimulatedLogSurvivesRoundTrip) {
   // A real captured log (hundreds of events) must round-trip exactly.
   sim::Topology topo;

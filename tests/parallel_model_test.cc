@@ -1,5 +1,6 @@
 // Determinism of the parallel modeling engine: the Fig. 13 multi-app
-// workload modeled with 0, 1, 2, and 8 workers must produce bit-identical
+// workload modeled with 0, 1, 2, and 8 workers, by the from-scratch build
+// and by the facade's incremental path, must produce bit-identical
 // behavior models (observed through DiffReport::render(), which serializes
 // every signature difference), and a monitor must emit the same
 // alarm/audit/provenance sequence at any worker count.
@@ -42,21 +43,30 @@ Scenario& scenario() {
   return s;
 }
 
-std::string render_diff_with_workers(int workers) {
+/// The scenario's diff report with both captures modeled on `workers`
+/// workers, by the from-scratch `Modeler::build` (`oracle`) or by
+/// `FlowDiff::model` (the incremental path).
+std::string render_diff_with_workers(int workers, bool oracle = false) {
   FlowDiffConfig config;
   config.parallelism = workers;
   const FlowDiff flowdiff(config);
-  const BehaviorModel baseline = flowdiff.model(scenario().baseline);
-  const BehaviorModel current = flowdiff.model(scenario().current);
-  return flowdiff.diff(baseline, current).render();
+  const auto model = [&](const of::ControlLog& log) {
+    return oracle ? flowdiff.modeler().build(log) : flowdiff.model(log);
+  };
+  return flowdiff.diff(model(scenario().baseline), model(scenario().current))
+      .render();
 }
 
 TEST(ParallelModel, DiffReportBitIdenticalAcrossWorkerCounts) {
-  const std::string serial = render_diff_with_workers(0);
+  const std::string serial = render_diff_with_workers(0, /*oracle=*/true);
   EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(render_diff_with_workers(0), serial)
+      << "the facade diverged from the serial oracle build";
   for (const int workers : {1, 2, 8}) {
-    EXPECT_EQ(render_diff_with_workers(workers), serial)
+    EXPECT_EQ(render_diff_with_workers(workers, /*oracle=*/true), serial)
         << "workers=" << workers << " diverged from the serial build";
+    EXPECT_EQ(render_diff_with_workers(workers), serial)
+        << "workers=" << workers << " facade diverged from the serial build";
   }
 }
 
